@@ -21,11 +21,13 @@ from . import __version__
 from .corpus import load_corpus
 from .errors import ConfigError, CorpusError, FofSyntaxError, PremselError
 from .evaluate import (
+    KernelRidgeRanker,
+    NaiveBayesRanker,
+    advise_each,
+    chronological_fallback,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
     emit_problems,
-    make_ranker,
     report_csv,
     run_incremental,
-    chronological_fallback,
 )
 from .kernel import GridSearchConfig, write_loss_table
 from .minimize import SubprocessOracle, batch_minimize, greedy_minimize, write_trace_csv
@@ -98,11 +100,22 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed, chrono_s
     if ranker == "nb":
         if smoothing <= 0:
             raise ConfigError("--smoothing must be positive")
-        return make_ranker("nb", smoothing=smoothing)
-    return make_ranker("mor", kernel_kind=kernel, grid=grid, regrid=regrid)
+        return NaiveBayesRanker(smoothing=smoothing)
+    return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid)
 
 
-def _write_metadata(out_dir, command: str, options: dict) -> None:
+# click parameter name -> run_metadata.json option name
+_OPTION_NAMES = {"formula_paths": "formulas", "dep_path": "deps", "top_n": "n"}
+# neither changes what a run writes
+_UNRECORDED = {"out_dir", "jobs"}
+
+
+def _write_metadata(out_dir, command: str) -> None:
+    """Echo the running command's parameters into ``run_metadata.json``."""
+    params = click.get_current_context().params
+    options = {_OPTION_NAMES.get(k, k): v for k, v in params.items() if k not in _UNRECORDED}
+    if command == "emit" and options["mode"] != "advised":
+        options["ranker"] = None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, "version": __version__, "options": options}
@@ -173,12 +186,11 @@ def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid
     corpus = _load(formula_paths, dep_path)
     if conjecture not in corpus:
         raise ConfigError(f"unknown conjecture id {conjecture!r}")
-    position = corpus.position_of(conjecture)
-    view = corpus.training_view(position, _row_roles(train_rows))
-    engine.prepare([view])
-    advice = engine.advise(view)
-    if advice is None:
-        advice = chronological_fallback(view)
+    (advice,) = advise_each(corpus, engine, [corpus.position_of(conjecture)],
+                            _row_roles(train_rows))
+    if isinstance(advice, PremselError):
+        raise advice
+    if advice.fallback:
         click.echo("note: pool not trainable, advice is chronological", err=True)
     n = top_n
     if n > len(advice.premise_ids):
@@ -196,12 +208,7 @@ def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid
             handle.write("rank,premise_id,score\n")
             for i, (pid, score) in enumerate(zip(advice.premise_ids[:n], advice.scores[:n])):
                 handle.write(f"{i},{pid},{score!r}\n")
-        _write_metadata(out_dir, "rank", {
-            "formulas": list(formula_paths), "deps": dep_path, "conjecture": conjecture,
-            "n": top_n, "ranker": ranker, "kernel": kernel, "lambda_grid": lambda_grid,
-            "sigma_grid": sigma_grid, "split": split, "chrono_split": chrono_split,
-            "regrid": regrid, "smoothing": smoothing, "train_rows": train_rows, "seed": seed,
-        })
+        _write_metadata(out_dir, "rank")
 
 
 @cli.command("eval")
@@ -236,13 +243,7 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
     paths = report_csv(report, out_dir)
     if getattr(engine, "search", None) is not None:
         write_loss_table(engine.search.table, Path(out_dir) / "grid_loss.csv")
-    _write_metadata(out_dir, "eval", {
-        "formulas": list(formula_paths), "deps": dep_path, "conjectures": conjectures,
-        "conjecture_roles": conjecture_roles, "n_set": n_set, "ranker": ranker,
-        "kernel": kernel, "lambda_grid": lambda_grid, "sigma_grid": sigma_grid,
-        "split": split, "chrono_split": chrono_split, "regrid": regrid,
-        "smoothing": smoothing, "train_rows": train_rows, "seed": seed,
-    })
+    _write_metadata(out_dir, "eval")
     click.echo(
         f"evaluated {report.evaluated_count} conjectures "
         f"({report.skipped_empty} with no dependencies, {report.error_count} errors)"
@@ -277,14 +278,7 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
         corpus, mode, out_dir, conjecture_ids=ids, conjecture_roles=roles,
         n=top_n, ranker=engine, row_roles=_row_roles(train_rows),
     )
-    _write_metadata(out_dir, "emit", {
-        "formulas": list(formula_paths), "deps": dep_path, "mode": mode, "n": top_n,
-        "conjectures": conjectures, "conjecture_roles": conjecture_roles,
-        "ranker": ranker if mode == "advised" else None, "kernel": kernel,
-        "lambda_grid": lambda_grid, "sigma_grid": sigma_grid, "split": split,
-        "chrono_split": chrono_split, "regrid": regrid, "smoothing": smoothing,
-        "train_rows": train_rows, "seed": seed,
-    })
+    _write_metadata(out_dir, "emit")
     click.echo(f"wrote {len(written)} problem files to {out_dir}")
 
 
@@ -307,8 +301,8 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_d
         candidates = list(_parse_names(ids) or ())
     else:
         _check_paths([ids_file])
-        candidates = [line.strip() for line in open(ids_file, encoding="utf-8")
-                      if line.strip()]
+        with open(ids_file, encoding="utf-8") as handle:
+            candidates = [line.strip() for line in handle if line.strip()]
     if not candidates:
         raise ConfigError("candidate id list is empty")
     sizes = _parse_ints(schedule, "--schedule") if schedule is not None else None
@@ -325,10 +319,7 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_d
     if trace_csv is not None:
         write_trace_csv(result, trace_csv)
     if out_dir is not None:
-        _write_metadata(out_dir, "minimize", {
-            "oracle_cmd": oracle_cmd, "ids": ids, "ids_file": ids_file, "order": order,
-            "batch": batch, "schedule": schedule, "trace_csv": trace_csv,
-        })
+        _write_metadata(out_dir, "minimize")
 
 
 def main(argv=None) -> int:

@@ -206,7 +206,8 @@ def load_corpus(formula_paths, dependency_path) -> Corpus:
             items.append(item)
     position = {item.name: i for i, item in enumerate(items)}
     try:
-        text = open(dependency_path, encoding="utf-8").read()
+        with open(dependency_path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise CorpusError(f"{dependency_path}: {exc}") from exc
     deps = parse_dependency_lines(text, position)

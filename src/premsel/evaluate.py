@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus, TrainingView
-from .errors import ConfigError, PremselError
+from .errors import ConfigError, PremselError, TrainingError
 from .fol import print_item
 from .kernel import GridSearchConfig, GridSearchResult, KernelSpec, grid_search, ridge_score, ridge_train
 from .naive_bayes import nb_score, nb_train
@@ -47,12 +47,24 @@ def rank_advice(conjecture_id, premise_ids, scores, fallback: bool = False) -> R
     scores = [float(s) for s in scores]
     if len(scores) != len(premise_ids):
         raise ValueError("scores and premise ids differ in length")
+    # NaN compares false both ways, so sorting would silently keep pool order
+    if not all(map(math.isfinite, scores)):
+        raise TrainingError(f"non-finite premise score for {conjecture_id}")
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
     return RankedAdvice(
         conjecture_id,
         tuple(premise_ids[j] for j in order),
         tuple(scores[j] for j in order),
         fallback,
+    )
+
+
+def chronological_fallback(view: TrainingView) -> RankedAdvice:
+    return RankedAdvice(
+        view.conjecture_id,
+        view.premise_ids,
+        tuple(0.0 for _ in view.premise_ids),
+        fallback=True,
     )
 
 
@@ -68,7 +80,8 @@ def recall_at(used, advice: RankedAdvice, n: int) -> float:
 
 
 class NaiveBayesRanker:
-    """Retrains the naive Bayes model from scratch at every step."""
+    """Retrains the naive Bayes model from scratch at every step; an
+    empty pool gets chronological fallback advice."""
 
     name = "nb"
 
@@ -78,9 +91,9 @@ class NaiveBayesRanker:
     def prepare(self, views) -> None:
         pass
 
-    def advise(self, view: TrainingView) -> RankedAdvice | None:
+    def advise(self, view: TrainingView) -> RankedAdvice:
         if not view.premise_ids:
-            return None
+            return chronological_fallback(view)
         model = nb_train(view, self.smoothing)
         scores = nb_score(model, view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
@@ -92,8 +105,8 @@ class KernelRidgeRanker:
     With ``regrid="once"`` the hyperparameter search runs on the first
     view that has at least two training rows and the chosen pair is
     reused for every later step; ``regrid="always"`` searches at every
-    step.  Views with fewer than two rows cannot be trained and signal a
-    fallback by returning None.
+    step.  Views with fewer than two rows cannot be trained and get
+    chronological fallback advice.
 
     Call :meth:`prepare` before advising from several threads; advising
     itself is read-only once the parameters are fixed.
@@ -123,31 +136,19 @@ class KernelRidgeRanker:
                 self.chosen = (self.search.best_lambda, self.search.best_sigma)
                 return
 
-    def advise(self, view: TrainingView) -> RankedAdvice | None:
+    def advise(self, view: TrainingView) -> RankedAdvice:
         if len(view.rows) < 2 or not view.premise_ids:
-            return None
-        if self.regrid == "once" and self.chosen is None:
-            self.prepare([view])
-        if self.chosen is not None and self.regrid == "once":
+            return chronological_fallback(view)
+        if self.regrid == "always":
+            model = grid_search(view, self.kernel_kind, self.grid).model
+        else:
+            if self.chosen is None:
+                self.prepare([view])
             lam, sigma = self.chosen
             spec = KernelSpec(self.kernel_kind, sigma if sigma is not None else 1.0)
             model = ridge_train(view, spec, lam)
-        else:
-            model = grid_search(view, self.kernel_kind, self.grid).model
         scores = ridge_score(model, view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
-
-
-def make_ranker(name: str, **kwargs):
-    if name == "nb":
-        return NaiveBayesRanker(smoothing=kwargs.get("smoothing", 1.0))
-    if name == "mor":
-        return KernelRidgeRanker(
-            kernel_kind=kwargs.get("kernel_kind", "gaussian"),
-            grid=kwargs.get("grid"),
-            regrid=kwargs.get("regrid", "once"),
-        )
-    raise ConfigError(f"unknown ranker {name!r}")
 
 
 @dataclass
@@ -191,13 +192,31 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
     return positions
 
 
-def chronological_fallback(view: TrainingView) -> RankedAdvice:
-    return RankedAdvice(
-        view.conjecture_id,
-        view.premise_ids,
-        tuple(0.0 for _ in view.premise_ids),
-        fallback=True,
-    )
+def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs: int = 1):
+    """Advice of ``ranker`` for each position, in order, each trained on
+    everything strictly earlier.
+
+    Yields the step's :class:`RankedAdvice`, or the :class:`PremselError`
+    the step raised.  Each training view lives only for its own step (the
+    views handed to ``ranker.prepare`` are built lazily too), so at most
+    ``jobs`` views, each O(position) rows, are held at once.  Steps are
+    independent given the featurized corpus and may run on up to
+    ``jobs`` threads.
+    """
+    corpus.ensure_featurized()
+    ranker.prepare(corpus.training_view(i, row_roles) for i in positions)
+
+    def step(position: int):
+        try:
+            return ranker.advise(corpus.training_view(position, row_roles))
+        except PremselError as exc:
+            return exc
+
+    if jobs == 1 or len(positions) <= 1:
+        yield from map(step, positions)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(step, positions)
 
 
 def _mean(values) -> float:
@@ -223,10 +242,10 @@ def run_incremental(
 ) -> RecallReport:
     """Train-on-the-past / rank / score every selected conjecture.
 
-    Steps are independent given the (featurized) corpus, so they may run
-    on up to ``jobs`` threads; results are merged in position order and
-    are identical for any job count.  Per-step training errors are
-    recorded on the outcome and the run continues.
+    Steps may run on up to ``jobs`` threads (see :func:`advise_each`);
+    results are merged in position order and are identical for any job
+    count.  Per-step training errors are recorded on the outcome and the
+    run continues.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
     if not n_values or n_values[0] < 1:
@@ -234,40 +253,27 @@ def run_incremental(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
-    corpus.ensure_featurized()
-    views = [corpus.training_view(i, row_roles) for i in positions]
-    ranker.prepare(views)
-
-    def step(view: TrainingView) -> ConjectureOutcome:
-        entry = corpus.entries[view.conjecture_position]
+    outcomes = []
+    for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles, jobs)):
+        entry = corpus.entries[position]
         used = entry.dependencies
         outcome = ConjectureOutcome(
-            conjecture_id=view.conjecture_id,
-            position=view.conjecture_position,
-            pool_size=view.pool_size,
+            conjecture_id=entry.name,
+            position=position,
+            pool_size=position,  # the pool is exactly the earlier items
             used_count=len(used),
             fallback=False,
             recalls=None,
         )
-        try:
-            advice = ranker.advise(view)
-        except PremselError as exc:
-            outcome.error = str(exc)
-            return outcome
-        if advice is None:
-            advice = chronological_fallback(view)
+        outcomes.append(outcome)
+        if isinstance(advice, PremselError):
+            outcome.error = str(advice)
+            continue
         outcome.fallback = advice.fallback
         if keep_advice:
             outcome.advice = advice
         if used:
             outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}
-        return outcome
-
-    if jobs == 1 or len(views) <= 1:
-        outcomes = [step(v) for v in views]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(step, views))
 
     evaluated = [o for o in outcomes if o.recalls is not None]
     averages = {n: _mean(o.recalls[n] for o in evaluated) for n in n_values} if evaluated else {}
@@ -396,15 +402,10 @@ def emit_problems(
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     written: list[Path] = []
     if mode == "advised":
-        corpus.ensure_featurized()
-        views = [corpus.training_view(i, row_roles) for i in positions]
-        ranker.prepare(views)
-        for view in views:
-            advice = ranker.advise(view)
-            if advice is None:
-                advice = chronological_fallback(view)
-            top = advice.premise_ids[: min(n, len(advice.premise_ids))]
-            written.append(_write_problem(corpus, view.conjecture_position, top, out))
+        for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles)):
+            if isinstance(advice, PremselError):
+                raise advice
+            written.append(_write_problem(corpus, position, advice.premise_ids[:n], out))
         return written
     for position in positions:
         entry = corpus.entries[position]

@@ -13,15 +13,6 @@ from __future__ import annotations
 from .fol import And, Atom, Equals, Exists, Forall, Formula, Iff, Implies, Not, Or, Term, Var
 
 
-def term_key(term: Term) -> str:
-    """Canonical string of a term, used in subterm feature keys."""
-    if isinstance(term, Var):
-        return f"*{term.index}"
-    if not term.args:
-        return term.name
-    return f"{term.name}({','.join(term_key(a) for a in term.args)})"
-
-
 def extract_features(formula: Formula) -> frozenset[str]:
     """Set of symbol and subterm keys of a de Bruijn-normalized formula."""
     keys: set[str] = set()

@@ -7,6 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from premsel import cli
+from premsel.corpus import load_corpus
+from premsel.errors import TrainingError
+from premsel.evaluate import NaiveBayesRanker, run_incremental
+from premsel.fol import parse_file
+
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "data" / "toy"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -150,6 +156,35 @@ class TestEmit:
                          "--out-dir", tmp_path / "a")
         assert result.returncode == 2
 
+    def test_advised_rank_and_eval_agree(self, tmp_path):
+        out = tmp_path / "advised"
+        result = run_cli("emit", *toy_args(), "--mode", "advised", "-n", "2",
+                         "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt")
+        report = run_incremental(corpus, NaiveBayesRanker(), n_values=[2], keep_advice=True)
+        assert len(report.outcomes) == 4
+        for outcome in report.outcomes:
+            top = list(outcome.advice.premise_ids[:2])
+            axioms = [item.name for item in parse_file(out / f"{outcome.conjecture_id}.p")][:-1]
+            ranked = run_cli("rank", *toy_args(), "--conjecture", outcome.conjecture_id,
+                             "-n", "2")
+            assert ranked.returncode == 0, ranked.stderr
+            assert axioms == top
+            assert [line.split("\t")[0] for line in ranked.stdout.splitlines()] == top
+
+    def test_advised_training_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        class Boom(NaiveBayesRanker):
+            def advise(self, view):
+                raise TrainingError("boom")
+
+        monkeypatch.setattr(cli, "_build_ranker", lambda *args: Boom())
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["emit", *map(str, toy_args()), "--mode", "advised", "-n", "2",
+                      "--out-dir", str(tmp_path / "a")])
+        assert exit_info.value.code == 4
+        assert capsys.readouterr().err == "error: boom\n"
+
 
 class TestMinimize:
     A_SUFFICES = "import sys; sys.exit(0 if 'a' in sys.stdin.read().split() else 1)"
@@ -181,6 +216,54 @@ class TestMinimize:
     def test_insufficient_start_is_runtime_error(self):
         result = run_cli("minimize", "--oracle-cmd", "false", "--ids", "a,b")
         assert result.returncode == 4
+
+
+RANKER_OPTIONS = {
+    "ranker": "nb", "kernel": "gaussian", "lambda_grid": None, "sigma_grid": None,
+    "split": 0.7, "chrono_split": False, "regrid": "once", "smoothing": 1.0,
+    "train_rows": "theorems", "seed": 0,
+}
+CORPUS_OPTIONS = {"formulas": [str(TOY / "formulas.p")], "deps": str(TOY / "deps.txt")}
+
+
+class TestMetadata:
+    CASES = {
+        "rank": (
+            ["rank", *toy_args(), "--conjecture", "th_plus_one", "-n", "2"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "conjecture": "th_plus_one", "n": 2},
+        ),
+        "eval": (
+            ["eval", *toy_args(), "--n-set", "1,2", "--jobs", "2", "--seed", "3"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "seed": 3, "conjectures": None,
+             "conjecture_roles": "theorem", "n_set": "1,2"},
+        ),
+        "emit-bushy": (
+            ["emit", *toy_args(), "--mode", "bushy", "--conjectures", "th_one_num"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": None, "mode": "bushy",
+             "n": None, "conjectures": "th_one_num", "conjecture_roles": "theorem"},
+        ),
+        "emit-advised": (
+            ["emit", *toy_args(), "--mode", "advised", "-n", "2", "--ranker", "mor",
+             "--lambda-grid", "1", "--sigma-grid", "2"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": "mor", "lambda_grid": "1",
+             "sigma_grid": "2", "mode": "advised", "n": 2, "conjectures": None,
+             "conjecture_roles": "theorem"},
+        ),
+        "minimize": (
+            ["minimize", "--oracle-cmd", "true", "--ids", "a,b", "--batch"],
+            {"oracle_cmd": "true", "ids": "a,b", "ids_file": None, "order": "given",
+             "batch": True, "schedule": None, "trace_csv": None},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_options_are_pinned(self, tmp_path, case):
+        args, options = self.CASES[case]
+        out = tmp_path / "out"
+        result = run_cli(*args, "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        metadata = json.loads((out / "run_metadata.json").read_text())
+        assert metadata == {"command": args[0], "version": "0.1.0", "options": options}
 
 
 class TestHelp:

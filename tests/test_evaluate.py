@@ -71,6 +71,29 @@ class TestRankAdvice:
         advice = rank_advice("c", ("a", "b", "d"), [0.0, 0.0, 0.0])
         assert sorted(advice.premise_ids) == ["a", "b", "d"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_a_training_error(self, bad):
+        with pytest.raises(TrainingError, match="non-finite"):
+            rank_advice("c", ["a", "b", "c", "d"], [1, bad, 3, 2])
+
+
+class TestAdviseFallback:
+    def test_advice_is_never_none(self, tmp_path):
+        f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
+                            "item3: item1\nitem4: item1\n")
+        corpus = load_corpus([f], d)
+        empty_pool = corpus.training_view(0)
+        one_row = corpus.training_view(3)
+        assert empty_pool.premise_ids == () and len(one_row.rows) == 1
+        mor = KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(1.0,), sigma_grid=(1.0,)))
+        for ranker in (NaiveBayesRanker(), mor):
+            advice = ranker.advise(empty_pool)
+            assert advice == RankedAdvice("item1", (), (), fallback=True)
+        # naive Bayes trains on any non-empty pool; ridge needs two rows
+        assert not NaiveBayesRanker().advise(one_row).fallback
+        assert mor.advise(one_row) == RankedAdvice(
+            "item4", ("item1", "item2", "item3"), (0.0, 0.0, 0.0), fallback=True)
+
 
 class TestRunIncremental:
     def test_single_conjecture_whose_dependency_tops(self, tmp_path):
@@ -208,6 +231,23 @@ class TestRunIncremental:
         assert by_id["item3"].error == "boom"
         assert by_id["item3"].recalls is None
 
+    def test_non_finite_scores_are_recorded_as_step_errors(self, tmp_path):
+        f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
+                            "item3: item1\nitem4: item1\n")
+
+        class NanRanker(NaiveBayesRanker):
+            def advise(self, view):
+                return rank_advice(view.conjecture_id, view.premise_ids,
+                                   [math.nan] * len(view.premise_ids))
+
+        report = run_incremental(load_corpus([f], d), NanRanker(), n_values=[1])
+        assert report.error_count == 2
+        assert report.evaluated_count == 0
+        assert report.averages == {}
+        for outcome in report.outcomes:
+            assert outcome.recalls is None
+            assert outcome.error == f"non-finite premise score for {outcome.conjecture_id}"
+
     def test_no_leakage_in_advice(self, tmp_path):
         formulas, deps = planted_corpus_text(n_items=15, n_topics=2, feats_per_topic=4, bases_per_topic=0, seed=5)
         f, d = write_corpus(tmp_path, formulas, deps)
@@ -232,11 +272,18 @@ class TestRunIncremental:
         formulas, deps = planted_corpus_text(n_items=15, n_topics=2, feats_per_topic=4, bases_per_topic=0, seed=6)
         f, d = write_corpus(tmp_path, formulas, deps)
         n_values = (1, 3, 5)
-        serial = run_incremental(load_corpus([f], d), NaiveBayesRanker(), n_values=n_values)
-        threaded = run_incremental(load_corpus([f], d), NaiveBayesRanker(), n_values=n_values,
-                                   jobs=4)
-        assert serial.averages == threaded.averages
-        assert [o.recalls for o in serial.outcomes] == [o.recalls for o in threaded.outcomes]
+        rankers = (
+            NaiveBayesRanker,
+            lambda: KernelRidgeRanker(
+                grid=GridSearchConfig(lambda_grid=(1.0,), sigma_grid=(2.0,)), regrid="once"),
+        )
+        for make in rankers:
+            serial = run_incremental(load_corpus([f], d), make(), n_values=n_values,
+                                     keep_advice=True)
+            threaded = run_incremental(load_corpus([f], d), make(), n_values=n_values,
+                                       jobs=4, keep_advice=True)
+            assert serial.averages == threaded.averages
+            assert serial.outcomes == threaded.outcomes
 
     def test_bad_n_values_rejected(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE, "")
