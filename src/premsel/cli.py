@@ -9,6 +9,7 @@ to reproduce the run byte for byte.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shlex
@@ -205,9 +206,10 @@ def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "advice.csv", "w", encoding="utf-8", newline="") as handle:
-            handle.write("rank,premise_id,score\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["rank", "premise_id", "score"])
             for i, (pid, score) in enumerate(zip(advice.premise_ids[:n], advice.scores[:n])):
-                handle.write(f"{i},{pid},{score!r}\n")
+                writer.writerow([i, pid, repr(score)])
         _write_metadata(out_dir, "rank")
 
 
@@ -327,9 +329,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(EXIT_CONFIG)
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_CONFIG)

@@ -83,8 +83,6 @@ class NaiveBayesRanker:
     """Retrains the naive Bayes model from scratch at every step; an
     empty pool gets chronological fallback advice."""
 
-    name = "nb"
-
     def __init__(self, smoothing: float = 1.0):
         self.smoothing = smoothing
 
@@ -99,54 +97,51 @@ class NaiveBayesRanker:
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
+def _ridge_trainable(view: TrainingView) -> bool:
+    return len(view.rows) >= 2 and bool(view.premise_ids)
+
+
 class KernelRidgeRanker:
     """Multi-output ridge ranker ("mor") with grid-searched parameters.
 
     With ``regrid="once"`` the hyperparameter search runs on the first
-    view that has at least two training rows and the chosen pair is
-    reused for every later step; ``regrid="always"`` searches at every
-    step.  Views with fewer than two rows cannot be trained and get
-    chronological fallback advice.
+    trainable view and the chosen pair is reused for every later step;
+    ``regrid="always"`` searches at every step.  Views with fewer than
+    two rows or an empty pool cannot be trained and get chronological
+    fallback advice.
 
     Call :meth:`prepare` before advising from several threads; advising
     itself is read-only once the parameters are fixed.
     """
 
-    name = "mor"
-
     def __init__(self, kernel_kind: str = "gaussian",
                  grid: GridSearchConfig | None = None, regrid: str = "once"):
         if regrid not in ("once", "always"):
             raise ConfigError(f"regrid must be 'once' or 'always', got {regrid!r}")
-        if kernel_kind not in ("linear", "gaussian"):
-            raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
+        KernelSpec(kernel_kind)  # rejects an unknown kind before any step runs
         self.kernel_kind = kernel_kind
         self.grid = grid if grid is not None else GridSearchConfig()
         self.regrid = regrid
-        self.chosen: tuple[float, float | None] | None = None
         self.search: GridSearchResult | None = None
 
     def prepare(self, views) -> None:
         """Fix hyperparameters ahead of (possibly parallel) advising."""
-        if self.regrid != "once" or self.chosen is not None:
+        if self.regrid != "once" or self.search is not None:
             return
         for view in views:
-            if len(view.rows) >= 2 and view.premise_ids:
+            if _ridge_trainable(view):
                 self.search = grid_search(view, self.kernel_kind, self.grid)
-                self.chosen = (self.search.best_lambda, self.search.best_sigma)
                 return
 
     def advise(self, view: TrainingView) -> RankedAdvice:
-        if len(view.rows) < 2 or not view.premise_ids:
+        if not _ridge_trainable(view):
             return chronological_fallback(view)
         if self.regrid == "always":
-            model = grid_search(view, self.kernel_kind, self.grid).model
+            search = grid_search(view, self.kernel_kind, self.grid)
         else:
-            if self.chosen is None:
-                self.prepare([view])
-            lam, sigma = self.chosen
-            spec = KernelSpec(self.kernel_kind, sigma if sigma is not None else 1.0)
-            model = ridge_train(view, spec, lam)
+            self.prepare([view])
+            search = self.search
+        model = ridge_train(view, search.best_kernel, search.best_lambda)
         scores = ridge_score(model, view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
@@ -197,14 +192,17 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs:
     everything strictly earlier.
 
     Yields the step's :class:`RankedAdvice`, or the :class:`PremselError`
-    the step raised.  Each training view lives only for its own step (the
-    views handed to ``ranker.prepare`` are built lazily too), so at most
-    ``jobs`` views, each O(position) rows, are held at once.  Steps are
-    independent given the featurized corpus and may run on up to
-    ``jobs`` threads.
+    the step raised.  ``ranker.prepare`` gets the views of all positions
+    up to the last, whichever were selected, so what it fixes there (the
+    ridge search) is the same for every command.  Each training view
+    lives only for its own step (those for ``ranker.prepare`` are built
+    lazily too), so at most ``jobs`` views, each O(position) rows, are
+    held at once.  Steps are independent given the featurized corpus and
+    may run on up to ``jobs`` threads.
     """
     corpus.ensure_featurized()
-    ranker.prepare(corpus.training_view(i, row_roles) for i in positions)
+    last = max(positions, default=-1)
+    ranker.prepare(corpus.training_view(i, row_roles) for i in range(last + 1))
 
     def step(position: int):
         try:
@@ -397,9 +395,16 @@ def emit_problems(
     if mode == "advised":
         if ranker is None or n is None or n < 1:
             raise ConfigError("advised emission needs a ranker and a positive n")
+    positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
+    owners: dict[str, str] = {}  # file name -> id, checked before anything is written
+    for position in positions:
+        name = corpus.entries[position].name
+        other = owners.setdefault(_safe_filename(name), name)
+        if other != name:
+            raise ConfigError(f"conjectures {other!r} and {name!r} both map to "
+                              f"{_safe_filename(name)}.p")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     written: list[Path] = []
     if mode == "advised":
         for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles)):

@@ -142,10 +142,6 @@ class FeatureVector:
         return len(self._set & other._set)
 
 
-def dot(a: FeatureVector, b: FeatureVector) -> int:
-    return a.dot(b)
-
-
 def vectorize(formula: Formula, dictionary: FeatureDictionary, extend: bool = False) -> FeatureVector:
     """Feature vector of ``formula`` against ``dictionary``.
 

@@ -87,9 +87,7 @@ def build_kernel_matrix(spec: KernelSpec, vectors) -> np.ndarray:
     vectors = list(vectors)
     if not vectors:
         raise ValueError("need at least one vector")
-    gram = _gram(vectors, vectors)
-    sizes = [len(v) for v in vectors]
-    return _kernelize(spec, gram, sizes, sizes)
+    return cross_kernel(spec, vectors, vectors)
 
 
 def cross_kernel(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -225,17 +223,19 @@ class GridSearchConfig:
 @dataclass
 class GridSearchResult:
     best_lambda: float
-    best_sigma: float | None
+    best_kernel: KernelSpec
     # (lambda, sigma or None, validation square loss), in evaluation order
     table: list[tuple[float, float | None, float]]
-    model: RidgeModel
 
 
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
-    """Pick (lambda, sigma) minimizing validation loss, then retrain on
-    the full view.  Ties go to the smaller lambda, then smaller sigma."""
-    if kernel_kind not in ("linear", "gaussian"):
-        raise ConfigError(f"unknown kernel kind {kernel_kind!r}")
+    """Pick (lambda, kernel) minimizing validation loss; training on the
+    full view is left to :func:`ridge_train`.  Ties go to the smaller
+    lambda, then smaller sigma."""
+    if kernel_kind == "gaussian":
+        specs = [KernelSpec(kernel_kind, sigma) for sigma in sorted(config.sigma_grid)]
+    else:
+        specs = [KernelSpec(kernel_kind)]
     n = len(view.rows)
     if n < 2:
         raise TrainingError("grid search needs at least 2 training rows")
@@ -247,37 +247,31 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     val_idx = np.sort(order[n_train:])
 
     vectors = [row.features for row in view.rows]
-    train_vecs = [vectors[i] for i in train_idx]
-    val_vecs = [vectors[i] for i in val_idx]
     Y = _label_matrix(view)
     Y_train, Y_val = Y[train_idx], Y[val_idx]
 
-    gram_tt = _gram(train_vecs, train_vecs)
-    gram_vt = _gram(val_vecs, train_vecs)
-    sizes_t = [len(v) for v in train_vecs]
-    sizes_v = [len(v) for v in val_vecs]
+    # Entries are exact counts, so slicing one Gram matrix gives the same
+    # blocks as building each block on its own.
+    gram = _gram(vectors, [vectors[i] for i in train_idx])
+    gram_tt, gram_vt = gram[train_idx], gram[val_idx]
+    sizes = np.array([len(v) for v in vectors])
+    sizes_t, sizes_v = sizes[train_idx], sizes[val_idx]
 
-    sigmas: tuple[float | None, ...]
-    sigmas = tuple(sorted(config.sigma_grid)) if kernel_kind == "gaussian" else (None,)
     table: list[tuple[float, float | None, float]] = []
-    best: tuple[float, float | None] | None = None
+    best: tuple[float, KernelSpec] | None = None
     best_loss = math.inf
     for lam in sorted(config.lambda_grid):
-        for sigma in sigmas:
-            spec = KernelSpec(kernel_kind, sigma if sigma is not None else 1.0)
+        for spec in specs:
             K_tt = _kernelize(spec, gram_tt, sizes_t, sizes_t)
             K_vt = _kernelize(spec, gram_vt, sizes_v, sizes_t)
             A = ridge_solve(K_tt, Y_train, lam)
             loss = float(((K_vt @ A - Y_val) ** 2).sum())
-            table.append((lam, sigma, loss))
+            table.append((lam, spec.sigma if spec.kind == "gaussian" else None, loss))
             if loss < best_loss:
                 best_loss = loss
-                best = (lam, sigma)
+                best = (lam, spec)
     assert best is not None
-    lam, sigma = best
-    spec = KernelSpec(kernel_kind, sigma if sigma is not None else 1.0)
-    model = ridge_train(view, spec, lam)
-    return GridSearchResult(lam, sigma, table, model)
+    return GridSearchResult(*best, table)
 
 
 def write_loss_table(table, path) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including the golden-file check."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import pytest
 from premsel import cli
 from premsel.corpus import load_corpus
 from premsel.errors import TrainingError
-from premsel.evaluate import NaiveBayesRanker, run_incremental
+from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, run_incremental
 from premsel.fol import parse_file
+
+from helpers import planted_corpus_text, write_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "data" / "toy"
@@ -72,6 +75,33 @@ class TestRank:
         metadata = json.loads((out / "run_metadata.json").read_text())
         assert metadata["command"] == "rank"
         assert metadata["options"]["seed"] == 0
+
+    def test_advice_csv_quotes_ids(self, tmp_path):
+        f, d = write_corpus(tmp_path, "fof('x,y', axiom, p(a)).\nfof(b1, axiom, q(b)).\n"
+                            "fof(t0, theorem, p(a)).\nfof(t1, theorem, p(a) & q(b)).\n",
+                            "t0: x,y\n")
+        out = tmp_path / "out"
+        result = run_cli("rank", "-f", f, "--deps", d, "--conjecture", "t1", "-n", "3",
+                         "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        with open(out / "advice.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        printed = [line.split("\t") for line in result.stdout.splitlines()]
+        assert rows == [["rank", "premise_id", "score"]] + [
+            [str(i), pid, score] for i, (pid, score) in enumerate(printed)]
+        assert "x,y" in [pid for pid, _ in printed]
+
+    def test_mor_regrid_once_agrees_with_eval(self, tmp_path):
+        f, d = write_corpus(tmp_path, *planted_corpus_text(
+            n_items=60, n_topics=4, feats_per_topic=6, seed=3))
+        report = run_incremental(load_corpus([f], d), KernelRidgeRanker(), n_values=[5],
+                                 keep_advice=True)
+        advice = report.outcomes[-1].advice
+        result = run_cli("rank", "-f", f, "--deps", d, "--ranker", "mor", "-n", "5",
+                         "--conjecture", advice.conjecture_id)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"{pid}\t{score!r}" for pid, score in zip(advice.premise_ids[:5], advice.scores[:5])]
 
 
 class TestEval:
@@ -172,6 +202,18 @@ class TestEmit:
             assert ranked.returncode == 0, ranked.stderr
             assert axioms == top
             assert [line.split("\t")[0] for line in ranked.stdout.splitlines()] == top
+
+    @pytest.mark.parametrize("mode", ["bushy", "chainy", "advised"])
+    def test_file_name_clash_is_a_config_error(self, tmp_path, mode):
+        # 't,1' and t_1 would both be written to t_1.p
+        f, d = write_corpus(tmp_path, "fof(a0, axiom, p(a)).\nfof('t,1', theorem, p(a)).\n"
+                            "fof(t_1, theorem, p(a)).\n", "t_1: a0\n")
+        out = tmp_path / "problems"
+        result = run_cli("emit", "-f", f, "--deps", d, "--mode", mode, "-n", "1",
+                         "--out-dir", out)
+        assert result.returncode == 2
+        assert "'t,1'" in result.stderr and "'t_1'" in result.stderr
+        assert not out.exists()
 
     def test_advised_training_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
         class Boom(NaiveBayesRanker):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from premsel.corpus import load_corpus
@@ -11,6 +12,7 @@ from premsel.evaluate import (
     KernelRidgeRanker,
     NaiveBayesRanker,
     RankedAdvice,
+    advise_each,
     emit_problems,
     rank_advice,
     recall_at,
@@ -18,9 +20,15 @@ from premsel.evaluate import (
     run_incremental,
 )
 from premsel.fol import parse_file
-from premsel.kernel import GridSearchConfig
+from premsel.kernel import GridSearchConfig, grid_search, ridge_score, ridge_train
 
-from helpers import nb_oracle_score, oracle_feature_keys, planted_corpus_text, write_corpus
+from helpers import (
+    nb_oracle_score,
+    oracle_feature_keys,
+    planted_corpus_text,
+    view_from_indices,
+    write_corpus,
+)
 
 THREE = """\
 fof(item1, axiom, p(a)).
@@ -93,6 +101,49 @@ class TestAdviseFallback:
         assert not NaiveBayesRanker().advise(one_row).fallback
         assert mor.advise(one_row) == RankedAdvice(
             "item4", ("item1", "item2", "item3"), (0.0, 0.0, 0.0), fallback=True)
+
+
+class TestKernelRidgeRanker:
+    @pytest.mark.parametrize("regrid", ["once", "always"])
+    def test_advice_trains_the_searched_point(self, regrid):
+        view = view_from_indices(
+            rows=[([0], {0}), ([1], set()), ([0, 1], {0}), ([2], set())],
+            premise_ids=("p0", "p1"),
+            conjecture_indices=(0, 2),
+        )
+        config = GridSearchConfig(seed=5)
+        ranker = KernelRidgeRanker(grid=config, regrid=regrid)
+        views = iter([view])
+        ranker.prepare(views)
+        # only regrid="once" searches ahead, and it stops at a trainable view
+        assert next(views, None) is (view if regrid == "always" else None)
+        advice = ranker.advise(view)
+
+        search = grid_search(view, "gaussian", config)
+        assert ranker.search == (search if regrid == "once" else None)
+        model = ridge_train(view, search.best_kernel, search.best_lambda)
+        assert model.lam == search.best_lambda
+        assert model.coef.shape == (4, 2)
+        again = ridge_train(view, search.best_kernel, search.best_lambda)
+        np.testing.assert_array_equal(model.coef, again.coef)
+        scores = ridge_score(model, view.conjecture_features)
+        assert advice == rank_advice(view.conjecture_id, view.premise_ids, scores)
+
+    def test_regrid_once_does_not_depend_on_the_selection(self, tmp_path):
+        # The search runs on the first trainable view of the walk however
+        # few conjectures are selected, so one conjecture's advice, or a
+        # late subset's outcomes, match the full run's.
+        f, d = write_corpus(tmp_path, *planted_corpus_text(
+            n_items=60, n_topics=4, feats_per_topic=6, seed=3))
+        corpus = load_corpus([f], d)
+        full = run_incremental(corpus, KernelRidgeRanker(), n_values=[5], keep_advice=True)
+        late = full.outcomes[-10:]
+        for outcome in late:
+            (advice,) = advise_each(corpus, KernelRidgeRanker(), [outcome.position])
+            assert advice == outcome.advice
+        subset = run_incremental(corpus, KernelRidgeRanker(), n_values=[5], keep_advice=True,
+                                 conjecture_ids=[o.conjecture_id for o in late[-6:]])
+        assert subset.outcomes == late[-6:]
 
 
 class TestRunIncremental:

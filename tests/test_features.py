@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from premsel.features import FeatureDictionary, FeatureVector, dot, extract_features, vectorize
+from premsel.features import FeatureDictionary, FeatureVector, extract_features, vectorize
 from premsel.fol import And, Not, parse_item
 
 from helpers import oracle_feature_keys, rand_formula
@@ -110,21 +110,21 @@ class TestVectorize:
 class TestDot:
     def test_self_dot_is_size(self):
         v = FeatureVector([4, 1, 9])
-        assert dot(v, v) == 3 == len(v)
+        assert v.dot(v) == 3 == len(v)
 
     def test_disjoint_vectors(self):
-        assert dot(FeatureVector([0, 2]), FeatureVector([1, 3])) == 0
+        assert FeatureVector([0, 2]).dot(FeatureVector([1, 3])) == 0
 
     def test_direct_count(self):
-        assert dot(FeatureVector([1, 3, 5]), FeatureVector([3, 5, 7])) == 2
+        assert FeatureVector([1, 3, 5]).dot(FeatureVector([3, 5, 7])) == 2
 
     def test_symmetry_and_cauchy_schwarz(self):
         rng = random.Random(5)
         for _ in range(200):
             a = FeatureVector(rng.sample(range(30), rng.randint(0, 10)))
             b = FeatureVector(rng.sample(range(30), rng.randint(0, 10)))
-            assert dot(a, b) == dot(b, a)
-            assert dot(a, b) ** 2 <= dot(a, a) * dot(b, b)
+            assert a.dot(b) == b.dot(a)
+            assert a.dot(b) ** 2 <= a.dot(a) * b.dot(b)
 
     def test_indices_sorted_and_distinct(self):
         v = FeatureVector([5, 1, 5, 3])

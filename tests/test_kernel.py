@@ -228,9 +228,8 @@ class TestGridSearch:
     def test_single_point_grid_returns_that_point(self):
         config = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,), seed=1)
         result = grid_search(self._simple_view(), "gaussian", config)
-        assert (result.best_lambda, result.best_sigma) == (0.5, 2.0)
+        assert (result.best_lambda, result.best_kernel) == (0.5, KernelSpec("gaussian", 2.0))
         assert len(result.table) == 1
-        assert result.model.lam == 0.5
 
     def test_exactly_fitting_point_is_chosen(self):
         # Chronological split puts the third row in validation.  Its
@@ -246,7 +245,7 @@ class TestGridSearch:
             lambda_grid=(0.01,), sigma_grid=(0.01, 10.0), split=0.67, chronological=True
         )
         result = grid_search(view, "gaussian", config)
-        assert (result.best_lambda, result.best_sigma) == (0.01, 0.01)
+        assert (result.best_lambda, result.best_kernel) == (0.01, KernelSpec("gaussian", 0.01))
         zero_loss = [loss for _, sigma, loss in result.table if sigma == 0.01]
         wide_loss = [loss for _, sigma, loss in result.table if sigma == 10.0]
         assert zero_loss == [0.0]
@@ -260,21 +259,21 @@ class TestGridSearch:
         )
         config = GridSearchConfig(lambda_grid=(4.0, 0.25, 1.0), sigma_grid=(3.0, 0.5), seed=7)
         result = grid_search(view, "gaussian", config)
-        assert (result.best_lambda, result.best_sigma) == (0.25, 0.5)
+        assert (result.best_lambda, result.best_kernel) == (0.25, KernelSpec("gaussian", 0.5))
 
     def test_deterministic_under_fixed_seed(self):
         config = GridSearchConfig(seed=123)
         first = grid_search(self._simple_view(), "gaussian", config)
         second = grid_search(self._simple_view(), "gaussian", config)
         assert first.table == second.table
-        assert (first.best_lambda, first.best_sigma) == (second.best_lambda, second.best_sigma)
-        np.testing.assert_array_equal(first.model.coef, second.model.coef)
+        assert (first.best_lambda, first.best_kernel) == (second.best_lambda, second.best_kernel)
 
     def test_linear_kernel_searches_lambda_only(self):
         config = GridSearchConfig(lambda_grid=(0.1, 1.0), sigma_grid=(1.0, 2.0))
         result = grid_search(self._simple_view(), "linear", config)
         assert len(result.table) == 2
-        assert result.best_sigma is None
+        assert result.best_kernel == KernelSpec("linear")
+        assert [sigma for _, sigma, _ in result.table] == [None, None]
 
     def test_needs_two_rows(self):
         view = view_from_indices([([0], set())], ("p0",))
@@ -288,10 +287,6 @@ class TestGridSearch:
             GridSearchConfig(lambda_grid=())
         with pytest.raises(ConfigError):
             GridSearchConfig(sigma_grid=(1.0, -2.0))
-
-    def test_retrained_model_covers_all_rows(self):
-        result = grid_search(self._simple_view(), "gaussian", GridSearchConfig(seed=5))
-        assert result.model.coef.shape == (4, 2)
 
 
 class TestCrossKernel:
