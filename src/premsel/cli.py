@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -99,8 +101,8 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed, chrono_s
         chrono_split,
     )
     if ranker == "nb":
-        if smoothing <= 0:
-            raise ConfigError("--smoothing must be positive")
+        if not 0 < smoothing < math.inf:
+            raise ConfigError("--smoothing must be finite and positive")
         return NaiveBayesRanker(smoothing=smoothing)
     return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid)
 
@@ -307,6 +309,9 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_d
             candidates = [line.strip() for line in handle if line.strip()]
     if not candidates:
         raise ConfigError("candidate id list is empty")
+    repeated = [c for c, count in Counter(candidates).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"candidate id {repeated[0]!r} is given more than once")
     sizes = _parse_ints(schedule, "--schedule") if schedule is not None else None
     if sizes is not None and not batch:
         raise ConfigError("--schedule requires --batch")

@@ -1,12 +1,14 @@
 """Chronologically ordered corpora: items, proof dependencies, and
 leak-free training views.
 
-A corpus is a sequence of named items in library order together with a
-sparse boolean proof matrix recording, for each item, which strictly
-earlier items its recorded proof used.  A training view at position
-``i`` exposes exactly the first ``i`` items as candidate premises, the
-label rows of those items, and the conjecture at ``i`` with its
-features restricted to what was known before it.
+A corpus is a sequence of named items in library order.  It is built
+once: construction featurizes every item in one chronological pass and
+keeps one :class:`TrainingRow` per item, holding the item's features
+and the positions of the strictly earlier items its recorded proof
+used.  A training view at position ``i`` selects from those shared
+rows: it exposes exactly the first ``i`` items as candidate premises,
+the rows of those items, and the conjecture at ``i`` with its features
+restricted to what was known before it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ from .features import FeatureDictionary, FeatureVector, vectorize
 from .fol import NamedItem, parse_items
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusEntry:
     item: NamedItem
     position: int
     dependencies: frozenset[str]
-    # Filled once by Corpus.ensure_featurized(); immutable afterwards.
-    features: FeatureVector | None = None
-    known_feature_count: int = -1
 
     @property
     def name(self) -> str:
@@ -34,25 +33,6 @@ class CorpusEntry:
     @property
     def role(self) -> str:
         return self.item.role
-
-
-class ProofMatrix:
-    """Sparse boolean relation over positions: row c holds the positions
-    of the premises used to prove item c."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows: tuple[frozenset[int], ...] = tuple(frozenset(r) for r in rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def mu(self, conjecture: int, premise: int) -> bool:
-        return premise in self._rows[conjecture]
-
-    def row(self, conjecture: int) -> frozenset[int]:
-        return self._rows[conjecture]
 
 
 @dataclass(frozen=True)
@@ -81,15 +61,17 @@ class TrainingView:
 
 
 class Corpus:
-    """Immutable after load; views are read-only projections."""
+    """Immutable after load; views select from the rows built at load.
+
+    ``rows[c]`` is the training row of the item at position ``c``;
+    ``rows[c].used`` is the position form of its proof dependencies.
+    """
 
     def __init__(self, entries: list[CorpusEntry]):
         self.entries: tuple[CorpusEntry, ...] = tuple(entries)
         self._position: dict[str, int] = {e.name: e.position for e in self.entries}
-        self.matrix = ProofMatrix(
-            frozenset(self._position[d] for d in e.dependencies) for e in self.entries
-        )
-        self.dictionary: FeatureDictionary | None = None
+        self._names = tuple(e.name for e in self.entries)
+        self.ensure_featurized()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -107,49 +89,47 @@ class Corpus:
         return self.entries[self.position_of(identifier)]
 
     def ensure_featurized(self) -> None:
-        """Fill per-entry feature vectors with one chronological pass.
+        """Featurize every entry in one chronological pass; run once, by
+        the constructor.
 
-        ``known_feature_count`` records the dictionary size before the
-        entry's own features were appended, i.e. the number of feature
-        indices that existed strictly before the entry.  Idempotent;
-        call once before sharing the corpus across threads.
+        Builds ``dictionary``, one training row per entry in ``rows``,
+        and per entry the dictionary size before its own features were
+        appended, i.e. the number of feature indices that existed
+        strictly before it.
         """
-        if self.dictionary is not None:
-            return
         dictionary = FeatureDictionary()
+        rows, known = [], []
         for entry in self.entries:
-            entry.known_feature_count = len(dictionary)
-            entry.features = vectorize(entry.item.formula, dictionary, extend=True)
+            known.append(len(dictionary))
+            features = vectorize(entry.item.formula, dictionary, extend=True)
+            used = frozenset(self._position[d] for d in entry.dependencies)
+            rows.append(TrainingRow(entry.position, features, used))
         self.dictionary = dictionary
+        self.rows: tuple[TrainingRow, ...] = tuple(rows)
+        self._known = tuple(known)
 
     def training_view(self, position: int, row_roles=("theorem",)) -> TrainingView:
         """View for ranking the item at ``position``.
 
         Candidate premises are exactly the first ``position`` entries.
-        Training rows are those of them whose role is in ``row_roles``;
-        the remaining entries act as premises only.  The conjecture's
-        features are restricted to indices known before it, so nothing
-        from position ``>= position`` can influence a ranking.
+        Training rows are the shared rows of those of them whose role is
+        in ``row_roles``; the remaining entries act as premises only.
+        The conjecture's features are restricted to indices known before
+        it, so nothing from position ``>= position`` can influence a
+        ranking.
         """
         if not 0 <= position < len(self.entries):
             raise IndexError(f"position {position} out of range")
-        self.ensure_featurized()
-        conjecture = self.entries[position]
         roles = set(row_roles)
-        rows = tuple(
-            TrainingRow(e.position, e.features, self.matrix.row(e.position))
-            for e in self.entries[:position]
-            if e.role in roles
-        )
-        visible = FeatureVector(
-            i for i in conjecture.features.indices if i < conjecture.known_feature_count
-        )
+        known = self._known[position]
         return TrainingView(
-            premise_ids=tuple(e.name for e in self.entries[:position]),
-            rows=rows,
-            conjecture_id=conjecture.name,
+            premise_ids=self._names[:position],
+            rows=tuple(self.rows[e.position] for e in self.entries[:position] if e.role in roles),
+            conjecture_id=self._names[position],
             conjecture_position=position,
-            conjecture_features=visible,
+            conjecture_features=FeatureVector(
+                i for i in self.rows[position].features.indices if i < known
+            ),
         )
 
 

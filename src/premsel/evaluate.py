@@ -180,7 +180,7 @@ class RecallReport:
 def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("theorem",)):
     """Positions of the items to evaluate, in chronological order."""
     if conjecture_ids is not None:
-        positions = sorted(corpus.position_of(cid) for cid in conjecture_ids)
+        positions = sorted({corpus.position_of(cid) for cid in conjecture_ids})
     else:
         roles = set(conjecture_roles)
         positions = [e.position for e in corpus.entries if e.role in roles]
@@ -197,10 +197,9 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs:
     ridge search) is the same for every command.  Each training view
     lives only for its own step (those for ``ranker.prepare`` are built
     lazily too), so at most ``jobs`` views, each O(position) rows, are
-    held at once.  Steps are independent given the featurized corpus and
-    may run on up to ``jobs`` threads.
+    held at once.  Steps are independent given the corpus and may run on
+    up to ``jobs`` threads.
     """
-    corpus.ensure_featurized()
     last = max(positions, default=-1)
     ranker.prepare(corpus.training_view(i, row_roles) for i in range(last + 1))
 

@@ -110,23 +110,19 @@ class FeatureDictionary:
 class FeatureVector:
     """Sorted distinct feature indices: the sparse form of a 0/1 vector."""
 
-    __slots__ = ("indices", "_set")
+    __slots__ = ("indices",)
 
     def __init__(self, indices=()):
         unique = sorted({int(i) for i in indices})
         if unique and unique[0] < 0:
             raise ValueError("feature indices must be nonnegative")
         self.indices: tuple[int, ...] = tuple(unique)
-        self._set = frozenset(unique)
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self._set
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FeatureVector) and self.indices == other.indices
@@ -139,7 +135,7 @@ class FeatureVector:
 
     def dot(self, other: "FeatureVector") -> int:
         """Inner product of the underlying binary vectors."""
-        return len(self._set & other._set)
+        return len(set(self.indices).intersection(other.indices))
 
 
 def vectorize(formula: Formula, dictionary: FeatureDictionary, extend: bool = False) -> FeatureVector:

@@ -41,8 +41,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise ConfigError("gaussian kernel needs sigma > 0")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
+            raise ConfigError("gaussian kernel needs a finite sigma > 0")
 
 
 def kernel_eval(spec: KernelSpec, a: FeatureVector, b: FeatureVector) -> float:
@@ -106,8 +106,8 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     ``lam > 0`` can only happen when K is far from positive
     semidefinite.
     """
-    if not lam > 0:
-        raise ConfigError("regularization parameter must be positive")
+    if not 0 < lam < math.inf:
+        raise ConfigError("regularization parameter must be finite and positive")
     K = np.asarray(K, dtype=float)
     Y = np.asarray(Y, dtype=float)
     n = K.shape[0]
@@ -214,8 +214,8 @@ class GridSearchConfig:
     def __post_init__(self):
         if not self.lambda_grid or not self.sigma_grid:
             raise ConfigError("hyperparameter grids must be nonempty")
-        if any(not v > 0 for v in self.lambda_grid) or any(not v > 0 for v in self.sigma_grid):
-            raise ConfigError("grid values must be positive")
+        if not all(0 < v < math.inf for v in (*self.lambda_grid, *self.sigma_grid)):
+            raise ConfigError("grid values must be finite and positive")
         if not 0 < self.split < 1:
             raise ConfigError(f"split fraction must lie in (0, 1), got {self.split}")
 

@@ -117,8 +117,8 @@ def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
     Counting is a single pass over the rows; training different
     premises shares the per-feature row totals.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
+    if not 0 < smoothing < math.inf:
+        raise ValueError("smoothing must be finite and positive")
     pool = len(view.premise_ids)
     if pool == 0:
         raise TrainingError("empty premise pool")

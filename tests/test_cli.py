@@ -134,6 +134,30 @@ class TestEval:
         assert "split" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--ranker", "mor", "--lambda-grid", "inf"],
+        ["--ranker", "mor", "--sigma-grid", "inf"],
+        ["--smoothing", "inf"],
+        ["--smoothing", "nan"],
+    ])
+    def test_non_finite_hyperparameter_is_a_config_error(self, tmp_path, flags):
+        out = tmp_path / "report"
+        result = run_cli("eval", *toy_args(), *flags, "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_repeated_conjecture_ids_count_once(self, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        first = run_cli("eval", *toy_args(), "--conjectures", "th_plus_succ",
+                        "--n-set", "1,2", "--out-dir", once)
+        second = run_cli("eval", *toy_args(), "--conjectures", "th_plus_succ,th_plus_succ",
+                         "--n-set", "1,2", "--out-dir", twice)
+        assert first.returncode == second.returncode == 0
+        assert second.stdout.startswith("evaluated 1 conjectures")
+        for name in ("conjectures", "average", "segments"):
+            assert (twice / f"{name}.csv").read_bytes() == (once / f"{name}.csv").read_bytes()
+
     def test_missing_input_file_is_a_config_error(self, tmp_path):
         result = run_cli("eval", "--formulas", tmp_path / "absent.p",
                          "--deps", TOY / "deps.txt", "--out-dir", tmp_path / "x")
@@ -180,6 +204,14 @@ class TestEmit:
             )
         assert counts == {"th_one_num": 3, "th_succ_one": 4,
                           "th_plus_one": 6, "th_plus_succ": 7}
+
+    def test_repeated_conjecture_ids_count_once(self, tmp_path):
+        out = tmp_path / "bushy"
+        result = run_cli("emit", *toy_args(), "--mode", "bushy",
+                         "--conjectures", "th_plus_succ,th_plus_succ", "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote 1 problem files to {out}\n"
+        assert [path.name for path in out.glob("*.p")] == ["th_plus_succ.p"]
 
     def test_advised_needs_n(self, tmp_path):
         result = run_cli("emit", *toy_args(), "--mode", "advised",
@@ -254,6 +286,12 @@ class TestMinimize:
     def test_requires_exactly_one_id_source(self):
         result = run_cli("minimize", "--oracle-cmd", "true")
         assert result.returncode == 2
+
+    def test_repeated_candidate_id_is_a_config_error(self):
+        result = run_cli("minimize", "--oracle-cmd", "true", "--ids", "a,b,a")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "'a'" in result.stderr
 
     def test_insufficient_start_is_runtime_error(self):
         result = run_cli("minimize", "--oracle-cmd", "false", "--ids", "a,b")

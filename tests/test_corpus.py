@@ -1,11 +1,15 @@
-"""Corpus loading, proof matrix, and training view contracts."""
+"""Corpus loading, proof relation, and training view contracts."""
+
+import dataclasses
 
 import pytest
 
 from premsel.corpus import load_corpus, parse_dependency_lines
 from premsel.errors import CorpusError
+from premsel.features import FeatureDictionary, vectorize
+from premsel.fol import parse_items
 
-from helpers import write_corpus
+from helpers import planted_corpus_text, write_corpus
 
 THREE = """\
 fof(t1, axiom, p(a)).
@@ -25,17 +29,17 @@ class TestLoad:
         assert len(corpus) == 3
         for c in range(3):
             for p in range(3):
-                assert corpus.matrix.mu(c, p) == (c == 2 and p == 0)
+                assert (p in corpus.rows[c].used) == (c == 2 and p == 0)
 
     def test_dependencies_match_matrix_rows_exactly(self, tmp_path):
         corpus = _load(tmp_path, deps="t3: t1 t2\n")
         for entry in corpus.entries:
-            derived = {corpus.entries[p].name for p in corpus.matrix.row(entry.position)}
+            derived = {corpus.entries[p].name for p in corpus.rows[entry.position].used}
             assert derived == set(entry.dependencies)
 
     def test_empty_dependency_file(self, tmp_path):
         corpus = _load(tmp_path, deps="")
-        assert all(not corpus.matrix.row(i) for i in range(3))
+        assert all(not corpus.rows[i].used for i in range(3))
 
     def test_forward_dependency_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="precede"):
@@ -70,7 +74,7 @@ class TestLoad:
         d = tmp_path / "deps.txt"
         d.write_text("t2: t1\n", encoding="utf-8")
         corpus = load_corpus([f1, f2], d)
-        assert corpus.matrix.mu(1, 0)
+        assert 0 in corpus.rows[1].used
         # reversed file order makes the dependency forward
         with pytest.raises(CorpusError, match="precede"):
             load_corpus([f2, f1], d)
@@ -124,18 +128,54 @@ class TestTrainingView:
         # dictionary eventually contains it.
         text = "fof(t1, axiom, p(a)).\nfof(t2, theorem, p(b)).\nfof(t3, theorem, q(b)).\n"
         corpus = _load(tmp_path, formulas=text, deps="")
-        corpus.ensure_featurized()
         view = corpus.training_view(1)
         visible_keys = {corpus.dictionary.key_at(i) for i in view.conjecture_features}
         assert visible_keys == {"s:p/1"}
         assert "s:b/0" in corpus.dictionary  # known globally, hidden at step 1
 
-    def test_featurize_is_idempotent(self, tmp_path):
-        corpus = _load(tmp_path)
-        corpus.ensure_featurized()
-        first = [e.features for e in corpus.entries]
-        corpus.ensure_featurized()
-        assert [e.features for e in corpus.entries] == first
+    @pytest.mark.parametrize("row_roles", [("theorem",),
+                                           ("axiom", "definition", "theorem", "conjecture")],
+                             ids=["theorems", "all"])
+    def test_views_equal_an_independent_reference(self, tmp_path, row_roles):
+        formulas, deps = planted_corpus_text(n_items=40, n_topics=3, seed=5)
+        corpus = _load(tmp_path, formulas=formulas, deps=deps)
+        items = parse_items(formulas)
+        assert {item.role for item in items} == {"axiom", "theorem"}
+        position = {item.name: i for i, item in enumerate(items)}
+        used = {}
+        for line in deps.splitlines():
+            target, _, rest = line.partition(":")
+            used[target] = {position[name] for name in rest.split()}
+        # Visible features are the conjecture's keys already in the
+        # dictionary before it; rows carry every key of their item.
+        dictionary = FeatureDictionary()
+        rows = []
+        for i, item in enumerate(items):
+            visible = vectorize(item.formula, dictionary).indices
+            features = vectorize(item.formula, dictionary, extend=True).indices
+            view = corpus.training_view(i, row_roles)
+            assert view.premise_ids == tuple(it.name for it in items[:i])
+            assert [(r.position, r.features.indices, set(r.used)) for r in view.rows] == rows
+            assert view.conjecture_id == item.name
+            assert view.conjecture_features.indices == visible
+            if item.role in row_roles:
+                rows.append((i, features, used.get(item.name, set())))
+        assert len(rows) > 1
+
+    def test_views_share_the_corpus_rows(self, tmp_path):
+        formulas, deps = planted_corpus_text(n_items=30, n_topics=3, seed=5)
+        corpus = _load(tmp_path, formulas=formulas, deps=deps)
+        views = [corpus.training_view(i) for i in range(len(corpus))]
+        for earlier, later in zip(views, views[1:]):
+            for k, row in enumerate(earlier.rows):
+                assert later.rows[k] is row
+                assert corpus.rows[row.position] is row
+        assert views[-1].rows
+
+    def test_entries_are_frozen(self, tmp_path):
+        entry = _load(tmp_path).entries[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.position = 5
 
     def test_unknown_identifier_lookup(self, tmp_path):
         corpus = _load(tmp_path)

@@ -212,7 +212,6 @@ class TestRunIncremental:
         # Independent route: explicit loop kernels, a plain matrix
         # inverse instead of the factorization, and fraction recall.
         corpus = load_corpus([f], d)
-        corpus.ensure_featurized()
 
         def gauss(a, b):
             a, b = set(a.indices), set(b.indices)

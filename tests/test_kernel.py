@@ -41,8 +41,9 @@ class TestKernelEval:
         assert kernel_eval(LINEAR, FeatureVector([1, 3]), FeatureVector([3, 7])) == 1.0
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            KernelSpec("gaussian", 0.0)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                KernelSpec("gaussian", sigma)
         with pytest.raises(ConfigError):
             KernelSpec("triangle")
 
@@ -91,8 +92,9 @@ class TestRidgeSolve:
         np.testing.assert_allclose(A, np.eye(2) / 2.0, atol=1e-15)
 
     def test_needs_positive_regularization(self):
-        with pytest.raises(ConfigError):
-            ridge_solve(np.eye(2), np.eye(2), 0.0)
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                ridge_solve(np.eye(2), np.eye(2), lam)
 
     def test_factorization_failure_reported(self):
         # Only possible when the input is far from positive semidefinite.
@@ -287,6 +289,8 @@ class TestGridSearch:
             GridSearchConfig(lambda_grid=())
         with pytest.raises(ConfigError):
             GridSearchConfig(sigma_grid=(1.0, -2.0))
+        with pytest.raises(ConfigError):
+            GridSearchConfig(lambda_grid=(1.0, math.inf))
 
 
 class TestCrossKernel:

@@ -46,6 +46,11 @@ class TestTraining:
         with pytest.raises(TrainingError):
             nb_train(view_from_indices([([0], set())], ()))
 
+    def test_smoothing_must_be_finite_and_positive(self):
+        for smoothing in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                nb_train(_two_row_view(), smoothing)
+
     def test_zero_rows_is_uniform(self):
         model = nb_train(view_from_indices([], ("a", "b")))
         assert model.priors == (0.0, 0.0)
