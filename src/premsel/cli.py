@@ -32,6 +32,7 @@ from .evaluate import (
     report_csv,
     run_incremental,
 )
+from .fol import ROLES
 from .kernel import GridSearchConfig, write_loss_table
 from .minimize import SubprocessOracle, batch_minimize, greedy_minimize, write_trace_csv
 
@@ -67,8 +68,15 @@ def _parse_ints(text: str, flag: str):
 def _parse_names(text: str | None):
     if text is None:
         return None
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    return names or None
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _parse_selection(conjectures: str | None, conjecture_roles: str):
+    """Ids of ``--conjectures`` (None selects by role) and ``--conjecture-roles``."""
+    ids = _parse_names(conjectures)
+    if ids == ():
+        raise ConfigError("--conjectures names no item")
+    return ids, _parse_names(conjecture_roles)
 
 
 def _check_paths(paths):
@@ -164,7 +172,7 @@ def _ranker_options(f):
 
 
 def _row_roles(train_rows: str):
-    return ("theorem",) if train_rows == "theorems" else ("axiom", "definition", "theorem", "conjecture")
+    return ("theorem",) if train_rows == "theorems" else ROLES
 
 
 @click.group()
@@ -231,8 +239,7 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
              smoothing, train_rows, seed):
     """Incremental evaluation: recall@n per conjecture plus averages."""
     n_values = _parse_ints(n_set, "--n-set")
-    roles = _parse_names(conjecture_roles) or ("theorem",)
-    ids = _parse_names(conjectures)
+    ids, roles = _parse_selection(conjectures, conjecture_roles)
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs < 1:
@@ -269,8 +276,7 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
          ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
          smoothing, train_rows, seed):
     """Emit one problem file per conjecture."""
-    roles = _parse_names(conjecture_roles) or ("theorem",)
-    ids = _parse_names(conjectures)
+    ids, roles = _parse_selection(conjectures, conjecture_roles)
     engine = None
     if mode == "advised":
         if top_n is None or top_n < 1:
@@ -302,7 +308,7 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_d
     if (ids is None) == (ids_file is None):
         raise ConfigError("give exactly one of --ids or --ids-file")
     if ids is not None:
-        candidates = list(_parse_names(ids) or ())
+        candidates = list(_parse_names(ids))
     else:
         _check_paths([ids_file])
         with open(ids_file, encoding="utf-8") as handle:

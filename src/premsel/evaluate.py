@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .corpus import Corpus, TrainingView
 from .errors import ConfigError, PremselError, TrainingError
-from .fol import print_item
+from .fol import ROLES, print_item
 from .kernel import GridSearchConfig, GridSearchResult, KernelSpec, grid_search, ridge_score, ridge_train
 from .naive_bayes import nb_score, nb_train
 
@@ -178,7 +178,12 @@ class RecallReport:
 
 
 def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("theorem",)):
-    """Positions of the items to evaluate, in chronological order."""
+    """Positions of the items to evaluate, in chronological order: those
+    named in ``conjecture_ids``, or when it is None those whose role is
+    in ``conjecture_roles`` (one or more of :data:`ROLES` either way)."""
+    if not conjecture_roles or not set(conjecture_roles) <= set(ROLES):
+        raise ConfigError(f"conjecture roles must be one or more of {', '.join(ROLES)}, "
+                          f"got {', '.join(conjecture_roles) or 'none'}")
     if conjecture_ids is not None:
         positions = sorted({corpus.position_of(cid) for cid in conjecture_ids})
     else:

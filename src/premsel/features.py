@@ -29,8 +29,10 @@ def extract_features(formula: Formula) -> frozenset[str]:
         keys.add(f"t:{text}")
         return text
 
-    def walk(f: Formula) -> None:
-        match f:
+    # an explicit stack: chains and binder lists nest deeper than Python's stack
+    stack = [formula]
+    while stack:
+        match stack.pop():
             case Atom(pred=pred, args=args):
                 keys.add(f"s:{pred}/{len(args)}")
                 for arg in args:
@@ -40,14 +42,11 @@ def extract_features(formula: Formula) -> frozenset[str]:
                 walk_term(left)
                 walk_term(right)
             case Not(body=body) | Forall(body=body) | Exists(body=body):
-                walk(body)
+                stack.append(body)
             case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) | Iff(left=l, right=r):
-                walk(l)
-                walk(r)
-            case _:
+                stack += (l, r)
+            case f:
                 raise ValueError(f"not a formula node: {f!r}")
-
-    walk(formula)
     return frozenset(keys)
 
 

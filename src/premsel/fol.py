@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .errors import FofSyntaxError
 
@@ -120,110 +121,55 @@ class NamedItem:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    ".": "DOT",
-    ":": "COLON",
-    "~": "TILDE",
-    "&": "AMP",
-    "|": "PIPE",
-    "?": "QUESTION",
-}
+_BARE_NAME = r"[a-z][a-zA-Z0-9_]*"
 
-_LOWER_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_UPPER_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*")
+# One alternative per token class, tried in order.  A punctuation token's
+# kind is its own spelling; BAD takes any character no other alternative
+# starts with, including the opening quote of a malformed quoted name.
+_TOKEN_RE = re.compile(
+    rf"(?P<LOWER>{_BARE_NAME})|(?P<UPPER>[A-Z][a-zA-Z0-9_]*)|(?P<SPACE>[ \t\r\n]+)"
+    r"|(?P<PUNCT><=>|=>|!=|[()\[\],.:~&|?=!])|(?P<COMMENT>%[^\n]*)"
+    r"|'(?P<QUOTED>[^'\\\n]+)'|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
+class _Token(NamedTuple):
+    kind: str  # "LOWER", "UPPER", "EOF" or the punctuation's spelling
     text: str
-    line: int
-    col: int
+    offset: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; a tab is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    end = 0  # end of input is reported after the last token or whitespace
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "COMMENT":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        end = m.end()
+        if kind == "SPACE":
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "!":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(_Token("NEQ", "!=", line, col))
-                i += 2
-                col += 2
+        value = m[kind]
+        if kind == "BAD":
+            if value == "<":
+                message = "expected '<=>'"
+            elif value == "'":
+                message = "empty quoted name" if text.startswith("'", end) else "unterminated quoted name"
             else:
-                tokens.append(_Token("BANG", "!", line, col))
-                i += 1
-                col += 1
-            continue
-        if ch == "=":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("IMPLIES", "=>", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("EQ", "=", line, col))
-                i += 1
-                col += 1
-            continue
-        if ch == "<":
-            if text[i : i + 3] == "<=>":
-                tokens.append(_Token("IFF", "<=>", line, col))
-                i += 3
-                col += 3
-                continue
-            raise FofSyntaxError("expected '<=>'", line, col)
-        if ch == "'":
-            j = i + 1
-            while j < n and text[j] not in "'\\\n":
-                j += 1
-            if j >= n or text[j] != "'":
-                raise FofSyntaxError("unterminated quoted name", line, col)
-            if j == i + 1:
-                raise FofSyntaxError("empty quoted name", line, col)
-            tokens.append(_Token("LOWER", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _LOWER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("LOWER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _UPPER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("UPPER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise FofSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+                message = f"unexpected character {value!r}"
+            raise FofSyntaxError(message, *_position(text, m.start()))
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "QUOTED":
+            kind = "LOWER"
+        yield _Token(kind, value, m.start())
+    yield _Token("EOF", "", end)
 
 
 # ---------------------------------------------------------------------------
@@ -232,99 +178,104 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
+    """Recursive descent over tokens lexed as they are consumed."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _tokenize(text)
+        self._tok = next(self._tokens)  # the next token, not yet consumed
         self._binders: list[str] = []
         self._depth = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
-
     def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
+        tok, self._tok = self._tok, next(self._tokens)
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            self._error(f"expected {what}", tok)
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self._tok.kind != kind:
+            return False
+        self._tok = next(self._tokens)
+        return True
+
+    def _expect(self, kind: str, what: str | None = None) -> _Token:
+        if self._tok.kind != kind:
+            self._error(f"expected {what or repr(kind)}", self._tok)
         return self._advance()
 
     def _error(self, message: str, tok: _Token):
-        shown = f"{message}, found {tok.text!r}" if tok.text else f"{message}, found end of input"
-        raise FofSyntaxError(shown, tok.line, tok.col)
+        found = repr(tok.text) if tok.text else "end of input"
+        self._raise(f"{message}, found {found}", tok)
+
+    def _raise(self, message: str, tok: _Token):
+        # a lexical error anywhere in the text is reported first, as if
+        # the whole text had been lexed before parsing
+        for _ in self._tokens:
+            pass
+        raise FofSyntaxError(message, *_position(self._text, tok.offset))
 
     def at_eof(self) -> bool:
-        return self._peek().kind == "EOF"
+        return self._tok.kind == "EOF"
 
     def item(self) -> NamedItem:
         kw = self._expect("LOWER", "'fof'")
         if kw.text != "fof":
             self._error("expected 'fof'", kw)
-        self._expect("LPAREN", "'('")
+        self._expect("(")
         name = self._expect("LOWER", "item name")
-        self._expect("COMMA", "','")
+        self._expect(",")
         role = self._expect("LOWER", "item role")
         if role.text not in ROLES:
             self._error(f"role must be one of {', '.join(ROLES)}", role)
-        self._expect("COMMA", "','")
+        self._expect(",")
         formula = self.formula()
-        self._expect("RPAREN", "')'")
-        self._expect("DOT", "'.'")
+        self._expect(")")
+        self._expect(".")
         return NamedItem(name.text, role.text, formula)
 
     def formula(self) -> Formula:
         left = self._disjunction()
-        tok = self._peek()
-        if tok.kind in ("IMPLIES", "IFF"):
+        tok = self._tok
+        if tok.kind in ("=>", "<=>"):
             self._advance()
             right = self._disjunction()
-            after = self._peek()
-            if after.kind in ("IMPLIES", "IFF"):
+            after = self._tok
+            if after.kind in ("=>", "<=>"):
                 self._error("'=>' and '<=>' are non-associative; add parentheses", after)
-            return Implies(left, right) if tok.kind == "IMPLIES" else Iff(left, right)
+            return Implies(left, right) if tok.kind == "=>" else Iff(left, right)
         return left
 
     def _disjunction(self) -> Formula:
         f = self._conjunction()
-        while self._peek().kind == "PIPE":
-            self._advance()
+        while self._accept("|"):
             f = Or(f, self._conjunction())
         return f
 
     def _conjunction(self) -> Formula:
         f = self._unit()
-        while self._peek().kind == "AMP":
-            self._advance()
+        while self._accept("&"):
             f = And(f, self._unit())
         return f
 
     def _unit(self) -> Formula:
-        tok = self._peek()
+        tok = self._tok
         self._depth += 1
         try:
             if self._depth > _MAX_NESTING:
                 self._error("formula is nested too deeply", tok)
-            if tok.kind == "TILDE":
-                self._advance()
+            if self._accept("~"):
                 return Not(self._unit())
-            if tok.kind in ("BANG", "QUESTION"):
+            if tok.kind in ("!", "?"):
                 return self._quantified()
-            if tok.kind == "LPAREN":
-                self._advance()
+            if self._accept("("):
                 f = self.formula()
-                self._expect("RPAREN", "')'")
+                self._expect(")")
                 return f
             if tok.kind in ("LOWER", "UPPER"):
                 term = self.term()
-                nxt = self._peek()
-                if nxt.kind == "EQ":
-                    self._advance()
+                if self._accept("="):
                     return Equals(term, self.term())
-                if nxt.kind == "NEQ":
-                    self._advance()
+                if self._accept("!="):
                     return Not(Equals(term, self.term()))
                 if isinstance(term, App):
                     return Atom(term.name, term.args)
@@ -335,14 +286,13 @@ class _Parser:
 
     def _quantified(self) -> Formula:
         tok = self._advance()
-        cls = Forall if tok.kind == "BANG" else Exists
-        self._expect("LBRACKET", "'['")
+        cls = Forall if tok.kind == "!" else Exists
+        self._expect("[")
         names = [self._expect("UPPER", "variable name").text]
-        while self._peek().kind == "COMMA":
-            self._advance()
+        while self._accept(","):
             names.append(self._expect("UPPER", "variable name").text)
-        self._expect("RBRACKET", "']'")
-        self._expect("COLON", "':'")
+        self._expect("]")
+        self._expect(":")
         self._binders.extend(names)
         body = self._unit()
         del self._binders[-len(names) :]
@@ -351,7 +301,7 @@ class _Parser:
         return body
 
     def term(self) -> Term:
-        tok = self._peek()
+        tok = self._tok
         self._depth += 1
         try:
             if self._depth > _MAX_NESTING:
@@ -364,14 +314,12 @@ class _Parser:
                 self._error(f"unbound variable {tok.text}", tok)
             if tok.kind == "LOWER":
                 self._advance()
-                if self._peek().kind != "LPAREN":
+                if not self._accept("("):
                     return App(tok.text)
-                self._advance()
                 args = [self.term()]
-                while self._peek().kind == "COMMA":
-                    self._advance()
+                while self._accept(","):
                     args.append(self.term())
-                self._expect("RPAREN", "')'")
+                self._expect(")")
                 return App(tok.text, tuple(args))
             self._error("expected a term", tok)
         finally:
@@ -380,23 +328,23 @@ class _Parser:
 
 def parse_item(text: str) -> NamedItem:
     """Parse exactly one ``fof(...)`` item."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     item = parser.item()
     if not parser.at_eof():
-        parser._error("unexpected text after item", parser._peek())
+        parser._error("unexpected text after item", parser._tok)
     return item
 
 
 def parse_items(text: str) -> list[NamedItem]:
     """Parse a whole file worth of items; item names must be unique."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     items: list[NamedItem] = []
     seen: set[str] = set()
     while not parser.at_eof():
-        tok = parser._peek()
+        tok = parser._tok
         item = parser.item()
         if item.name in seen:
-            raise FofSyntaxError(f"duplicate item name {item.name!r}", tok.line, tok.col)
+            parser._raise(f"duplicate item name {item.name!r}", tok)
         seen.add(item.name)
         items.append(item)
     return items
@@ -413,11 +361,11 @@ def parse_file(path) -> list[NamedItem]:
 
 _IMPL, _OR, _AND, _UNIT = 0, 1, 2, 3
 
-_BARE_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_BARE_NAME_RE = re.compile(_BARE_NAME)
 
 
 def _name_text(name: str) -> str:
-    if _BARE_NAME_RE.match(name):
+    if _BARE_NAME_RE.fullmatch(name):
         return name
     if not name or any(c in "'\\\n" for c in name):
         raise ValueError(f"name {name!r} cannot be printed")
@@ -433,10 +381,6 @@ def _term_text(term: Term, depth: int) -> str:
         return _name_text(term.name)
     args = ", ".join(_term_text(a, depth) for a in term.args)
     return f"{_name_text(term.name)}({args})"
-
-
-def _wrap(text: str, parenthesize: bool) -> str:
-    return f"({text})" if parenthesize else text
 
 
 def _formula_text(f: Formula, depth: int, level: int) -> str:
@@ -455,18 +399,24 @@ def _formula_text(f: Formula, depth: int, level: int) -> str:
             return f"{_term_text(left, depth)} != {_term_text(right, depth)}"
         case Not(body=body):
             return f"~{_formula_text(body, depth, _UNIT)}"
-        case And(left=left, right=right):
-            text = f"{_formula_text(left, depth, _AND)} & {_formula_text(right, depth, _UNIT)}"
-            return _wrap(text, level > _AND)
-        case Or(left=left, right=right):
-            text = f"{_formula_text(left, depth, _OR)} | {_formula_text(right, depth, _AND)}"
-            return _wrap(text, level > _OR)
-        case Implies(left=left, right=right):
-            text = f"{_formula_text(left, depth, _OR)} => {_formula_text(right, depth, _OR)}"
-            return _wrap(text, level > _IMPL)
-        case Iff(left=left, right=right):
-            text = f"{_formula_text(left, depth, _OR)} <=> {_formula_text(right, depth, _OR)}"
-            return _wrap(text, level > _IMPL)
+        case And() | Or():
+            # a left-nested chain of one connective prints flat, one call
+            # per operand instead of one nested call per connective
+            cls = type(f)
+            op, left_level, right_level = (" & ", _AND, _UNIT) if cls is And else (" | ", _OR, _AND)
+            rights = []
+            inner = f
+            while type(inner) is cls:
+                rights.append(inner.right)
+                inner = inner.left
+            text = _formula_text(inner, depth, left_level)
+            for right in reversed(rights):
+                text += op + _formula_text(right, depth, right_level)
+            return f"({text})" if level > left_level else text
+        case Implies(left=left, right=right) | Iff(left=left, right=right):
+            op = "=>" if type(f) is Implies else "<=>"
+            text = f"{_formula_text(left, depth, _OR)} {op} {_formula_text(right, depth, _OR)}"
+            return f"({text})" if level > _IMPL else text
         case Atom(pred=pred, args=args):
             if not args:
                 return _name_text(pred)

@@ -12,7 +12,7 @@ from premsel import cli
 from premsel.corpus import load_corpus
 from premsel.errors import TrainingError
 from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, run_incremental
-from premsel.fol import parse_file
+from premsel.fol import parse_file, print_item
 
 from helpers import planted_corpus_text, write_corpus
 
@@ -31,6 +31,26 @@ def run_cli(*args):
 
 def toy_args():
     return ["--formulas", TOY / "formulas.p", "--deps", TOY / "deps.txt"]
+
+
+def long_chain_corpus(tmp_path, n=5000):
+    """Theorems whose ASTs nest ``n`` deep: an ``&`` chain, an ``|`` chain
+    and an ``n``-variable binder list."""
+    text = (
+        "fof(a0, axiom, p0).\n"
+        f"fof(t_and, theorem, {' & '.join(f'p{i}' for i in range(n))}).\n"
+        f"fof(t_or, theorem, {' | '.join(f'p{i}' for i in range(n))}).\n"
+        f"fof(t_all, theorem, ![{', '.join(f'X{i}' for i in range(n))}]: q(X0)).\n"
+    )
+    return write_corpus(tmp_path, text, "t_and: a0\nt_or: a0\nt_all: a0\n")
+
+
+SELECTION_ERRORS = [
+    (["--conjectures", ","], "--conjectures names no item"),
+    (["--conjecture-roles", ","], "got none"),
+    (["--conjecture-roles", "theorm"], "got theorm"),
+    (["--conjectures", "th_plus_succ", "--conjecture-roles", "theorem,lemma"], "got theorem, lemma"),
+]
 
 
 class TestRank:
@@ -158,6 +178,22 @@ class TestEval:
         for name in ("conjectures", "average", "segments"):
             assert (twice / f"{name}.csv").read_bytes() == (once / f"{name}.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags, message", SELECTION_ERRORS)
+    def test_empty_or_unknown_selection_is_a_config_error(self, tmp_path, flags, message):
+        out = tmp_path / "report"
+        result = run_cli("eval", *toy_args(), *flags, "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        if "roles" in flags[-2]:
+            assert "one or more of axiom, definition, theorem, conjecture" in result.stderr
+        assert not out.exists()
+
+    def test_long_chains_and_binder_lists_evaluate(self, tmp_path):
+        f, d = long_chain_corpus(tmp_path)
+        result = run_cli("eval", "-f", f, "--deps", d, "--n-set", "1", "--out-dir", tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("evaluated 3 conjectures (0 with no dependencies, 0 errors)")
+
     def test_missing_input_file_is_a_config_error(self, tmp_path):
         result = run_cli("eval", "--formulas", tmp_path / "absent.p",
                          "--deps", TOY / "deps.txt", "--out-dir", tmp_path / "x")
@@ -212,6 +248,26 @@ class TestEmit:
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"wrote 1 problem files to {out}\n"
         assert [path.name for path in out.glob("*.p")] == ["th_plus_succ.p"]
+
+    @pytest.mark.parametrize("mode", ["bushy", "advised"])
+    @pytest.mark.parametrize("flags, message", SELECTION_ERRORS)
+    def test_empty_or_unknown_selection_is_a_config_error(self, tmp_path, mode, flags, message):
+        out = tmp_path / "problems"
+        result = run_cli("emit", *toy_args(), "--mode", mode, "-n", "2", *flags, "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert not out.exists()
+
+    def test_chainy_long_chains_reprint_identically(self, tmp_path):
+        f, d = long_chain_corpus(tmp_path)
+        out = tmp_path / "chainy"
+        result = run_cli("emit", "-f", f, "--deps", d, "--mode", "chainy", "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        assert sorted(path.name for path in out.glob("*.p")) == ["t_all.p", "t_and.p", "t_or.p"]
+        for path in out.glob("*.p"):
+            text = path.read_text(encoding="utf-8")
+            # texts, not ASTs: dataclass == recurses as deep as the formula
+            assert "".join(print_item(item) + "\n" for item in parse_file(path)) == text
 
     def test_advised_needs_n(self, tmp_path):
         result = run_cli("emit", *toy_args(), "--mode", "advised",

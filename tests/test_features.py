@@ -36,6 +36,14 @@ class TestExtractFeatures:
         keys = extract_features(_formula("p(a) & p(a, b)"))
         assert "s:p/1" in keys and "s:p/2" in keys
 
+    def test_long_chains_and_binder_lists(self):
+        # far deeper than the interpreter stack
+        for op in ("&", "|"):
+            chain = _formula(f" {op} ".join(f"p{i}" for i in range(5000)))
+            assert extract_features(chain) == {f"s:p{i}/0" for i in range(5000)}
+        binders = ", ".join(f"X{i}" for i in range(5000))
+        assert extract_features(_formula(f"![{binders}]: q(X0)")) == {"s:q/1", "t:*4999"}
+
     def test_matches_bruteforce_walker_on_random_formulas(self):
         rng = random.Random(7)
         for _ in range(200):

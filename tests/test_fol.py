@@ -102,6 +102,34 @@ class TestParseErrors:
         with pytest.raises(FofSyntaxError, match="duplicate"):
             parse_items("fof(t, axiom, p). fof(t, axiom, q).")
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("fof(t, axiom, p <= q).", "expected '<=>'", 1, 17),
+            ("fof(t, axiom, 'abc).", "unterminated quoted name", 1, 15),
+            ("fof(t, axiom, 'a\nb').", "unterminated quoted name", 1, 15),
+            ("fof(t, axiom, 'a\\b').", "unterminated quoted name", 1, 15),
+            ("fof(t, axiom, '').", "empty quoted name", 1, 15),
+            ("fof(t, axiom, p $ q).", "unexpected character '$'", 1, 17),
+            ("fof(_t, axiom, p).", "unexpected character '_'", 1, 5),
+            ("fof(t, axiom,\fp).", "unexpected character '\\x0c'", 1, 14),
+            # end of input is reported after the last token or whitespace
+            ("fof(t, axiom, p) % no dot", "expected '.', found end of input", 1, 18),
+            ("fof(t, axiom, p)\n% c\n", "expected '.', found end of input", 3, 1),
+            # a tab is one column, and only a newline starts a line
+            ("fof(t,\taxiom,\r\n\tX).", "unbound variable X, found 'X'", 2, 2),
+            ("fof(t, axiom, p). fof(t, axiom, q).", "duplicate item name 't'", 1, 19),
+            # a lexical error anywhere wins over an earlier parse error
+            ("fof(t, axiom, p q). $", "unexpected character '$'", 1, 21),
+            ("fof(t, axiom, p). fof(t, axiom, q). ''", "empty quoted name", 1, 37),
+            ("fof(t, axiom, " + "~" * 130 + "p). <", "expected '<=>'", 1, 149),
+        ],
+    )
+    def test_exact_error_positions(self, text, message, line, column):
+        with pytest.raises(FofSyntaxError) as err:
+            parse_items(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
     def test_deep_nesting_is_a_positioned_error(self):
         bomb = "fof(t, axiom, " + "(" * 2000 + "p" + ")" * 2000 + ")."
         with pytest.raises(FofSyntaxError, match="nested"):
@@ -132,6 +160,23 @@ class TestPrinter:
         assert print_item(item) == "fof(t, axiom, a != b)."
         assert parse_item(print_item(item)) == item
 
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_long_connective_chain_prints_flat(self, op):
+        # 5000 operands nest far deeper than the interpreter stack; text
+        # is compared because AST equality itself recurses
+        text = "fof(t, axiom, " + f" {op} ".join(f"p{i}" for i in range(5000)) + ")."
+        assert print_item(parse_item(text)) == text
+        assert print_item(parse_item(print_item(parse_item(text)))) == text
+
+    def test_long_binder_list_prints(self):
+        names = ", ".join(f"V{i}" for i in range(5000))
+        text = f"fof(t, axiom, ![{names}]: p(V0, V4999))."
+        assert print_item(parse_item(text)) == text
+
+    def test_mixed_chains_keep_their_parentheses(self):
+        text = "fof(t, axiom, (a & b | c) & d & (e & f) & ~(g | h) | i & j | (k | l) => m)."
+        assert print_item(parse_item(text)) == text
+
     def test_right_nested_connectives_keep_shape(self):
         item = NamedItem("t", "axiom", And(Atom("p"), And(Atom("q"), Atom("r"))))
         assert parse_item(print_item(item)) == item
@@ -159,7 +204,7 @@ class TestProperties:
     def test_parser_totality_on_fuzzed_input(self):
         # Every input parses or raises a positioned error; nothing else.
         rng = random.Random(99)
-        alphabet = "fo(),.![]:?=<>&|~%'aXbY \n_12"
+        alphabet = "fo(),.![]:?=<>&|~%'aXbY \n_12\t\r\\$\"\f"
         for _ in range(500):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
             try:
