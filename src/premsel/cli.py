@@ -126,7 +126,7 @@ def _write_metadata(out_dir, command: str) -> None:
     params = click.get_current_context().params
     options = {_OPTION_NAMES.get(k, k): v for k, v in params.items() if k not in _UNRECORDED}
     if command == "emit" and options["mode"] != "advised":
-        options["ranker"] = None
+        options["ranker"] = options["n"] = None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, "version": __version__, "options": options}
@@ -232,7 +232,8 @@ def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid
 @click.option("--n-set", default=DEFAULT_N_SET, show_default=True,
               help="Comma-separated n values for recall@n.")
 @click.option("--jobs", type=int, default=None,
-              help="Parallel evaluation steps (default: available cores).")
+              help="Parallel evaluation steps of the mor ranker (default: available "
+                   "cores); nb steps always run serially.")
 @click.option("--out-dir", required=True)
 def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
              ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,

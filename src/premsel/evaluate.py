@@ -22,7 +22,11 @@ from .corpus import Corpus, TrainingView
 from .errors import ConfigError, PremselError, TrainingError
 from .fol import ROLES, print_item
 from .kernel import GridSearchConfig, GridSearchResult, KernelSpec, grid_search, ridge_score, ridge_train
-from .naive_bayes import nb_score, nb_train
+from .naive_bayes import (
+    NbCounts,
+    nb_score,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
+    nb_train,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
+)
 
 SEGMENT_COUNT = 4
 
@@ -80,11 +84,20 @@ def recall_at(used, advice: RankedAdvice, n: int) -> float:
 
 
 class NaiveBayesRanker:
-    """Retrains the naive Bayes model from scratch at every step; an
-    empty pool gets chronological fallback advice."""
+    """Naive Bayes advice from running counts: a view whose rows extend
+    those of the previous view counts only its new rows, any other view
+    counts from empty, so advice is a function of the view alone.  An
+    empty pool gets chronological fallback advice.
+
+    The counts change at every step, so :func:`advise_each` runs its
+    steps in order on one thread (``stateful``).
+    """
+
+    stateful = True
 
     def __init__(self, smoothing: float = 1.0):
         self.smoothing = smoothing
+        self.counts = NbCounts(smoothing)
 
     def prepare(self, views) -> None:
         pass
@@ -92,8 +105,8 @@ class NaiveBayesRanker:
     def advise(self, view: TrainingView) -> RankedAdvice:
         if not view.premise_ids:
             return chronological_fallback(view)
-        model = nb_train(view, self.smoothing)
-        scores = nb_score(model, view.conjecture_features)
+        self.counts.sync(view.rows)
+        scores = self.counts.score(len(view.premise_ids), view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
@@ -113,6 +126,8 @@ class KernelRidgeRanker:
     Call :meth:`prepare` before advising from several threads; advising
     itself is read-only once the parameters are fixed.
     """
+
+    stateful = False
 
     def __init__(self, kernel_kind: str = "gaussian",
                  grid: GridSearchConfig | None = None, regrid: str = "once"):
@@ -185,6 +200,9 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
         raise ConfigError(f"conjecture roles must be one or more of {', '.join(ROLES)}, "
                           f"got {', '.join(conjecture_roles) or 'none'}")
     if conjecture_ids is not None:
+        for cid in conjecture_ids:
+            if cid not in corpus:
+                raise ConfigError(f"unknown conjecture id {cid!r}")
         positions = sorted({corpus.position_of(cid) for cid in conjecture_ids})
     else:
         roles = set(conjecture_roles)
@@ -202,8 +220,9 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs:
     ridge search) is the same for every command.  Each training view
     lives only for its own step (those for ``ranker.prepare`` are built
     lazily too), so at most ``jobs`` views, each O(position) rows, are
-    held at once.  Steps are independent given the corpus and may run on
-    up to ``jobs`` threads.
+    held at once.  Steps of a ``stateful`` ranker run in position order
+    on one thread; those of other rankers depend only on the corpus and
+    may run on up to ``jobs`` threads.
     """
     last = max(positions, default=-1)
     ranker.prepare(corpus.training_view(i, row_roles) for i in range(last + 1))
@@ -214,7 +233,7 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs:
         except PremselError as exc:
             return exc
 
-    if jobs == 1 or len(positions) <= 1:
+    if jobs == 1 or len(positions) <= 1 or ranker.stateful:
         yield from map(step, positions)
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

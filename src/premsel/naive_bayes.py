@@ -7,17 +7,23 @@ sums, over its features, the smoothed log-odds of the feature given
 "premise was used" versus "premise was not used", and adds the smoothed
 prior log-odds of the premise.  Only features present in the conjecture
 contribute, which keeps scoring linear in the conjecture size.
+
+:func:`nb_train` and :func:`nb_score` are the reference: they count
+one view from scratch and score one premise at a time.
+:class:`NbCounts` keeps the same counts for a growing row sequence and
+scores every premise at once, bit for bit as the reference does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TrainingView
+from .corpus import TrainingRow, TrainingView
 from .errors import TrainingError
 from .features import FeatureVector
 
@@ -101,14 +107,23 @@ class NbModel:
         return cls(ids, rows, smoothing, uses, priors, bases, totals, positive)
 
 
+def _prior(row_count: int, u: int, smoothing: float) -> float:
+    return math.log((u + smoothing) / (row_count - u + smoothing))
+
+
+def _base(row_count: int, u: int, smoothing: float) -> float:
+    return math.log(row_count - u + 2 * smoothing) - math.log(u + 2 * smoothing)
+
+
 def _derived_terms(row_count: int, uses, smoothing: float):
-    priors = tuple(
-        math.log((u + smoothing) / (row_count - u + smoothing)) for u in uses
-    )
-    bases = tuple(
-        math.log(row_count - u + 2 * smoothing) - math.log(u + 2 * smoothing) for u in uses
-    )
+    priors = tuple(_prior(row_count, u, smoothing) for u in uses)
+    bases = tuple(_base(row_count, u, smoothing) for u in uses)
     return priors, bases
+
+
+def _check_smoothing(smoothing: float) -> None:
+    if not 0 < smoothing < math.inf:
+        raise ValueError("smoothing must be finite and positive")
 
 
 def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
@@ -117,8 +132,7 @@ def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
     Counting is a single pass over the rows; training different
     premises shares the per-feature row totals.
     """
-    if not 0 < smoothing < math.inf:
-        raise ValueError("smoothing must be finite and positive")
+    _check_smoothing(smoothing)
     pool = len(view.premise_ids)
     if pool == 0:
         raise TrainingError("empty premise pool")
@@ -170,3 +184,80 @@ def nb_score(model: NbModel, features: FeatureVector) -> np.ndarray:
             s += logs[cp] - logs[tot - cp]
         scores[p] = s
     return scores
+
+
+class NbCounts:
+    """Naive Bayes counts of a row sequence that grows between uses.
+
+    :meth:`sync` brings the counts to a given row sequence, counting
+    only the rows past the prefix already counted; a sequence that does
+    not extend that prefix is counted from empty.  :meth:`score` then
+    equals ``nb_score(nb_train(view), features)`` for any view with
+    those rows, bit for bit.
+
+    Per feature it keeps the premise positions used by the rows that
+    contain the feature, one entry per (row, used premise) pair, so a
+    premise's count for the feature is the number of times its position
+    occurs there.
+    """
+
+    def __init__(self, smoothing: float = 1.0):
+        _check_smoothing(smoothing)
+        self.smoothing = smoothing
+        # logs[c] = log(c + smoothing), extended as the row count grows
+        self._logs = np.array([math.log(smoothing)])
+        self._reset()
+
+    def _reset(self) -> None:
+        self.rows: tuple[TrainingRow, ...] = ()
+        self._totals: dict[int, int] = {}
+        self._used = array("i")
+        self._used_by_feature: dict[int, array] = {}
+
+    def sync(self, rows: tuple[TrainingRow, ...]) -> None:
+        """Make these the counts of ``rows``."""
+        n = len(self.rows)
+        # a view's rows are the corpus's shared objects: mostly identity checks
+        if rows[:n] != self.rows:
+            self._reset()
+            n = 0
+        new = rows[n:]
+        if any(row.features is None for row in new):
+            raise TrainingError("training row without a feature vector")
+        for row in new:
+            for i in row.features.indices:
+                self._totals[i] = self._totals.get(i, 0) + 1
+            if row.used:
+                self._used.extend(row.used)
+                for i in row.features.indices:
+                    self._used_by_feature.setdefault(i, array("i")).extend(row.used)
+        self.rows = rows
+        a = self.smoothing
+        grown = range(len(self._logs), len(rows) + 1)
+        if grown:
+            self._logs = np.append(self._logs, [math.log(c + a) for c in grown])
+
+    def score(self, pool: int, features: FeatureVector) -> np.ndarray:
+        """Scores of premises ``0 … pool-1``, in the float operations of
+        :func:`nb_score`: prior plus ``k`` bases, then per feature in
+        index order the difference of two log-table entries."""
+        a = self.smoothing
+        rows = len(self.rows)
+        idx = features.indices
+        k = len(idx)
+        uses = np.bincount(np.frombuffer(self._used, dtype=np.intc), minlength=pool)
+        distinct = set(uses.tolist())
+        start = np.zeros(max(distinct, default=0) + 1)  # use count -> prior + k * base
+        for u in distinct:
+            start[u] = _prior(rows, u, a) + k * _base(rows, u, a)
+        scores = start[uses]
+        logs = self._logs
+        for i in idx:
+            tot = self._totals.get(i, 0)
+            positions = self._used_by_feature.get(i)
+            if positions is None:
+                scores += logs[0] - logs[tot]
+            else:
+                cp = np.bincount(np.frombuffer(positions, dtype=np.intc), minlength=pool)
+                scores += logs[cp] - logs[tot - cp]
+        return scores

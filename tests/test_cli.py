@@ -50,6 +50,7 @@ SELECTION_ERRORS = [
     (["--conjecture-roles", ","], "got none"),
     (["--conjecture-roles", "theorm"], "got theorm"),
     (["--conjectures", "th_plus_succ", "--conjecture-roles", "theorem,lemma"], "got theorem, lemma"),
+    (["--conjectures", "th_plus_succ,nope"], "configuration error: unknown conjecture id 'nope'"),
 ]
 
 
@@ -377,6 +378,11 @@ class TestMetadata:
             ["emit", *toy_args(), "--mode", "bushy", "--conjectures", "th_one_num"],
             {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": None, "mode": "bushy",
              "n": None, "conjectures": "th_one_num", "conjecture_roles": "theorem"},
+        ),
+        "emit-bushy-top": (
+            ["emit", *toy_args(), "--mode", "bushy", "-n", "2"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": None, "mode": "bushy",
+             "n": None, "conjectures": None, "conjecture_roles": "theorem"},
         ),
         "emit-advised": (
             ["emit", *toy_args(), "--mode", "advised", "-n", "2", "--ranker", "mor",

@@ -13,14 +13,16 @@ from premsel.evaluate import (
     NaiveBayesRanker,
     RankedAdvice,
     advise_each,
+    chronological_fallback,
     emit_problems,
     rank_advice,
     recall_at,
     report_csv,
     run_incremental,
 )
-from premsel.fol import parse_file
+from premsel.fol import ROLES, parse_file
 from premsel.kernel import GridSearchConfig, grid_search, ridge_score, ridge_train
+from premsel.naive_bayes import nb_score, nb_train
 
 from helpers import (
     nb_oracle_score,
@@ -101,6 +103,59 @@ class TestAdviseFallback:
         assert not NaiveBayesRanker().advise(one_row).fallback
         assert mor.advise(one_row) == RankedAdvice(
             "item4", ("item1", "item2", "item3"), (0.0, 0.0, 0.0), fallback=True)
+
+
+class TestNaiveBayesRanker:
+    """Advice from the running counts equals advice from a model trained
+    from scratch on the same view, float for float."""
+
+    @staticmethod
+    def _planted(tmp_path, seed):
+        formulas, deps = planted_corpus_text(n_items=40, n_topics=3, feats_per_topic=5,
+                                             seed=seed)
+        directory = tmp_path / f"seed{seed}"
+        directory.mkdir()
+        f, d = write_corpus(directory, formulas, deps)
+        return load_corpus([f], d)
+
+    @staticmethod
+    def _check(ranker, view):
+        advice = ranker.advise(view)
+        if view.premise_ids:
+            scores = nb_score(nb_train(view), view.conjecture_features)
+            expected = rank_advice(view.conjecture_id, view.premise_ids, scores)
+        else:
+            expected = chronological_fallback(view)
+        assert advice == expected
+        assert [s.hex() for s in advice.scores] == [s.hex() for s in expected.scores]
+
+    @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
+    def test_every_step_equals_the_reference(self, tmp_path, row_roles):
+        corpus = self._planted(tmp_path, seed=1)
+        ranker = NaiveBayesRanker()
+        for position in range(len(corpus)):
+            self._check(ranker, corpus.training_view(position, row_roles))
+
+    def test_views_that_do_not_extend_the_counted_rows_restart(self, tmp_path):
+        first, second = self._planted(tmp_path, seed=1), self._planted(tmp_path, seed=2)
+        ranker = NaiveBayesRanker()
+        steps = [(first, p, ("theorem",)) for p in (30, 10, 35, 34, 1, 0, 20)]
+        steps += [(first, p, ROLES) for p in (20, 25)]
+        steps += [(second, p, ("theorem",)) for p in (15, 39)]
+        for corpus, position, row_roles in steps:
+            self._check(ranker, corpus.training_view(position, row_roles))
+
+    def test_empty_pool_and_rowless_views(self, tmp_path):
+        corpus = self._planted(tmp_path, seed=1)
+        empty_pool = corpus.training_view(0)
+        rowless = corpus.training_view(1)
+        assert not empty_pool.premise_ids
+        assert rowless.premise_ids and not rowless.rows
+        ranker = NaiveBayesRanker()
+        for view in (empty_pool, rowless):
+            self._check(ranker, view)
+        assert ranker.advise(empty_pool).fallback
+        assert not ranker.advise(rowless).fallback
 
 
 class TestKernelRidgeRanker:

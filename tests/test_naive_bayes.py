@@ -1,5 +1,6 @@
 """Naive Bayes training and scoring, checked against hand computations
-and the independent count-table oracle."""
+and the independent count-table oracle; the running counts are checked
+against the from-scratch reference."""
 
 import math
 import random
@@ -7,9 +8,10 @@ import random
 import numpy as np
 import pytest
 
+from premsel.corpus import TrainingRow
 from premsel.errors import TrainingError
 from premsel.features import FeatureVector
-from premsel.naive_bayes import NbModel, nb_score, nb_train
+from premsel.naive_bayes import NbCounts, NbModel, nb_score, nb_train
 
 from helpers import nb_oracle_score, view_from_indices
 
@@ -50,6 +52,8 @@ class TestTraining:
         for smoothing in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 nb_train(_two_row_view(), smoothing)
+            with pytest.raises(ValueError):
+                NbCounts(smoothing)
 
     def test_zero_rows_is_uniform(self):
         model = nb_train(view_from_indices([], ("a", "b")))
@@ -185,3 +189,36 @@ class TestSerialization:
         for _ in range(10):
             conj = FeatureVector(rng.sample(range(12), rng.randint(0, 6)))
             np.testing.assert_array_equal(nb_score(loaded, conj), nb_score(model, conj))
+
+
+def _bits(scores):
+    # exact float identity, sign of zero included
+    return [float(s).hex() for s in scores]
+
+
+class TestRunningCounts:
+    @pytest.mark.parametrize("smoothing", [1.0, 0.5])
+    def test_growing_rows_score_as_the_reference(self, smoothing):
+        rng = random.Random(29)
+        counts = NbCounts(smoothing)
+        rows = []
+        for step in range(40):
+            pool = step + 1
+            conj = rng.sample(range(12), rng.randint(0, 6))
+            # value-equal rows, not the same objects: still an extension
+            view = view_from_indices(rows, tuple(map(str, range(pool))), conj)
+            counts.sync(view.rows)
+            reference = nb_score(nb_train(view, smoothing), view.conjecture_features)
+            assert _bits(counts.score(pool, view.conjecture_features)) == _bits(reference)
+            for _ in range(rng.randint(0, 2)):
+                rows.append((rng.sample(range(10), rng.randint(0, 5)),
+                             {p for p in range(pool) if rng.random() < 0.3}))
+
+    def test_row_without_features_is_a_training_error(self):
+        view = _two_row_view()
+        counts = NbCounts()
+        counts.sync(view.rows)
+        with pytest.raises(TrainingError):
+            counts.sync(view.rows + (TrainingRow(2, None, frozenset({0})),))
+        reference = nb_score(nb_train(view), view.conjecture_features)
+        assert _bits(counts.score(1, view.conjecture_features)) == _bits(reference)
