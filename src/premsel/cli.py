@@ -90,29 +90,19 @@ def _load(formula_paths, dep_path):
     return load_corpus(formula_paths, dep_path)
 
 
-def _grid_config(lambda_grid, sigma_grid, split, seed, chrono_split) -> GridSearchConfig:
-    kwargs = {"split": split, "seed": seed, "chronological": chrono_split}
-    if lambda_grid is not None:
-        kwargs["lambda_grid"] = lambda_grid
-    if sigma_grid is not None:
-        kwargs["sigma_grid"] = sigma_grid
-    return GridSearchConfig(**kwargs)
-
-
-def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed, chrono_split,
-                  regrid, smoothing):
-    grid = _grid_config(
-        _parse_floats(lambda_grid, "--lambda-grid"),
-        _parse_floats(sigma_grid, "--sigma-grid"),
-        split,
-        seed,
-        chrono_split,
-    )
+def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
+                  smoothing, train_rows, seed):
+    """The command's ranker and the roles that contribute its training rows."""
+    grids = {"lambda_grid": _parse_floats(lambda_grid, "--lambda-grid"),
+             "sigma_grid": _parse_floats(sigma_grid, "--sigma-grid")}
+    grid = GridSearchConfig(split=split, seed=seed, chronological=chrono_split,
+                            **{k: v for k, v in grids.items() if v is not None})
+    row_roles = ("theorem",) if train_rows == "theorems" else ROLES
     if ranker == "nb":
         if not 0 < smoothing < math.inf:
             raise ConfigError("--smoothing must be finite and positive")
-        return NaiveBayesRanker(smoothing=smoothing)
-    return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid)
+        return NaiveBayesRanker(smoothing=smoothing), row_roles
+    return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid), row_roles
 
 
 # click parameter name -> run_metadata.json option name
@@ -171,10 +161,6 @@ def _ranker_options(f):
     return f
 
 
-def _row_roles(train_rows: str):
-    return ("theorem",) if train_rows == "theorems" else ROLES
-
-
 @click.group()
 @click.version_option(__version__, prog_name="premsel")
 def cli():
@@ -187,18 +173,15 @@ def cli():
 @click.option("--conjecture", required=True, help="Identifier of the item to rank for.")
 @click.option("-n", "--top", "top_n", type=int, default=10, show_default=True)
 @click.option("--out-dir", default=None, help="Also write advice.csv and metadata here.")
-def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid,
-         sigma_grid, split, chrono_split, regrid, smoothing, train_rows, seed, out_dir):
+def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
     """Rank the premises available to one conjecture."""
     if top_n < 1:
         raise ConfigError("-n must be positive")
-    engine = _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed,
-                           chrono_split, regrid, smoothing)
+    engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
     if conjecture not in corpus:
         raise ConfigError(f"unknown conjecture id {conjecture!r}")
-    (advice,) = advise_each(corpus, engine, [corpus.position_of(conjecture)],
-                            _row_roles(train_rows))
+    (advice,) = advise_each(corpus, engine, [corpus.position_of(conjecture)], row_roles)
     if isinstance(advice, PremselError):
         raise advice
     if advice.fallback:
@@ -236,8 +219,7 @@ def rank(formula_paths, dep_path, conjecture, top_n, ranker, kernel, lambda_grid
                    "cores); nb steps always run serially.")
 @click.option("--out-dir", required=True)
 def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
-             ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
-             smoothing, train_rows, seed):
+             **ranker_flags):
     """Incremental evaluation: recall@n per conjecture plus averages."""
     n_values = _parse_ints(n_set, "--n-set")
     ids, roles = _parse_selection(conjectures, conjecture_roles)
@@ -245,16 +227,18 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    engine = _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed,
-                           chrono_split, regrid, smoothing)
+    engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
     report = run_incremental(
         corpus, engine, n_values=n_values, conjecture_ids=ids, conjecture_roles=roles,
-        row_roles=_row_roles(train_rows), jobs=jobs,
+        row_roles=row_roles, jobs=jobs,
     )
     paths = report_csv(report, out_dir)
+    loss_table = Path(out_dir) / "grid_loss.csv"
     if getattr(engine, "search", None) is not None:
-        write_loss_table(engine.search.table, Path(out_dir) / "grid_loss.csv")
+        write_loss_table(engine.search.table, loss_table)
+    else:  # a table left by an earlier run would describe another configuration
+        loss_table.unlink(missing_ok=True)
     _write_metadata(out_dir, "eval")
     click.echo(
         f"evaluated {report.evaluated_count} conjectures "
@@ -274,20 +258,18 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
 @click.option("--conjecture-roles", default="theorem", show_default=True)
 @click.option("--out-dir", required=True)
 def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, out_dir,
-         ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
-         smoothing, train_rows, seed):
+         **ranker_flags):
     """Emit one problem file per conjecture."""
     ids, roles = _parse_selection(conjectures, conjecture_roles)
-    engine = None
+    engine, row_roles = None, ()
     if mode == "advised":
         if top_n is None or top_n < 1:
             raise ConfigError("advised mode needs a positive -n")
-        engine = _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, seed,
-                               chrono_split, regrid, smoothing)
+        engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
     written = emit_problems(
         corpus, mode, out_dir, conjecture_ids=ids, conjecture_roles=roles,
-        n=top_n, ranker=engine, row_roles=_row_roles(train_rows),
+        n=top_n, ranker=engine, row_roles=row_roles,
     )
     _write_metadata(out_dir, "emit")
     click.echo(f"wrote {len(written)} problem files to {out_dir}")

@@ -18,6 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Corpus, TrainingView
 from .errors import ConfigError, PremselError, TrainingError
 from .fol import ROLES, print_item
@@ -48,17 +50,18 @@ class RankedAdvice:
 
 
 def rank_advice(conjecture_id, premise_ids, scores, fallback: bool = False) -> RankedAdvice:
-    scores = [float(s) for s in scores]
-    if len(scores) != len(premise_ids):
+    s = np.asarray(scores, dtype=float)
+    if len(s) != len(premise_ids):
         raise ValueError("scores and premise ids differ in length")
     # NaN compares false both ways, so sorting would silently keep pool order
-    if not all(map(math.isfinite, scores)):
+    if not np.isfinite(s).all():
         raise TrainingError(f"non-finite premise score for {conjecture_id}")
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+    # a stable sort keeps equal scores (0.0 and -0.0 too) in pool order
+    order = np.argsort(-s, kind="stable")
     return RankedAdvice(
         conjecture_id,
-        tuple(premise_ids[j] for j in order),
-        tuple(scores[j] for j in order),
+        tuple(premise_ids[j] for j in order.tolist()),
+        tuple(s[order].tolist()),
         fallback,
     )
 
@@ -99,9 +102,6 @@ class NaiveBayesRanker:
         self.smoothing = smoothing
         self.counts = NbCounts(smoothing)
 
-    def prepare(self, views) -> None:
-        pass
-
     def advise(self, view: TrainingView) -> RankedAdvice:
         if not view.premise_ids:
             return chronological_fallback(view)
@@ -110,21 +110,15 @@ class NaiveBayesRanker:
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
-def _ridge_trainable(view: TrainingView) -> bool:
-    return len(view.rows) >= 2 and bool(view.premise_ids)
-
-
 class KernelRidgeRanker:
     """Multi-output ridge ranker ("mor") with grid-searched parameters.
 
-    With ``regrid="once"`` the hyperparameter search runs on the first
-    trainable view and the chosen pair is reused for every later step;
-    ``regrid="always"`` searches at every step.  Views with fewer than
-    two rows or an empty pool cannot be trained and get chronological
-    fallback advice.
-
-    Call :meth:`prepare` before advising from several threads; advising
-    itself is read-only once the parameters are fixed.
+    ``regrid="always"`` searches (lambda, sigma) on every view.
+    ``regrid="once"`` searches on the first trainable view of the walk,
+    which every later view contains: the first two training rows and
+    the pool up to the second of them.  Either way advice is a function
+    of the view alone.  Views with fewer than two rows or an empty pool
+    cannot be trained and get chronological fallback advice.
     """
 
     stateful = False
@@ -137,25 +131,29 @@ class KernelRidgeRanker:
         self.kernel_kind = kernel_kind
         self.grid = grid if grid is not None else GridSearchConfig()
         self.regrid = regrid
+        # the regrid="once" search and the first two rows it was made from
         self.search: GridSearchResult | None = None
+        self._search_rows: tuple = ()
 
-    def prepare(self, views) -> None:
-        """Fix hyperparameters ahead of (possibly parallel) advising."""
-        if self.regrid != "once" or self.search is not None:
-            return
-        for view in views:
-            if _ridge_trainable(view):
-                self.search = grid_search(view, self.kernel_kind, self.grid)
-                return
+    def _search(self, view: TrainingView) -> GridSearchResult:
+        if self.regrid == "always":
+            return grid_search(view, self.kernel_kind, self.grid)
+        first = view.rows[:2]
+        # A tuple compare of the corpus's shared rows: mostly identity checks.
+        # No lock: every view of one walk has the same first two rows, so a
+        # concurrent duplicate search computes the same result.  ``search``
+        # is set before its key, so a thread that sees the key sees it.
+        if first != self._search_rows:
+            pool = view.premise_ids[: first[1].position + 1]
+            self.search = grid_search(dataclasses.replace(view, rows=first, premise_ids=pool),
+                                      self.kernel_kind, self.grid)
+            self._search_rows = first
+        return self.search
 
     def advise(self, view: TrainingView) -> RankedAdvice:
-        if not _ridge_trainable(view):
+        if len(view.rows) < 2 or not view.premise_ids:
             return chronological_fallback(view)
-        if self.regrid == "always":
-            search = grid_search(view, self.kernel_kind, self.grid)
-        else:
-            self.prepare([view])
-            search = self.search
+        search = self._search(view)
         model = ridge_train(view, search.best_kernel, search.best_lambda)
         scores = ridge_score(model, view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
@@ -215,17 +213,13 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs:
     everything strictly earlier.
 
     Yields the step's :class:`RankedAdvice`, or the :class:`PremselError`
-    the step raised.  ``ranker.prepare`` gets the views of all positions
-    up to the last, whichever were selected, so what it fixes there (the
-    ridge search) is the same for every command.  Each training view
-    lives only for its own step (those for ``ranker.prepare`` are built
-    lazily too), so at most ``jobs`` views, each O(position) rows, are
-    held at once.  Steps of a ``stateful`` ranker run in position order
-    on one thread; those of other rankers depend only on the corpus and
-    may run on up to ``jobs`` threads.
+    the step raised.  Advice is a function of the step's view alone, so
+    it does not depend on which other positions are selected.  Each
+    training view lives only for its own step, so at most ``jobs``
+    views, each O(position) rows, are held at once.  Steps of a
+    ``stateful`` ranker run in position order on one thread; those of
+    other rankers may run on up to ``jobs`` threads.
     """
-    last = max(positions, default=-1)
-    ranker.prepare(corpus.training_view(i, row_roles) for i in range(last + 1))
 
     def step(position: int):
         try:

@@ -147,6 +147,18 @@ class TestEval:
         assert (out / "grid_loss.csv").read_text().splitlines()[0] == \
             "lambda,sigma,validation_loss"
 
+    @pytest.mark.parametrize("flags", [["--ranker", "nb"],
+                                       ["--ranker", "mor", "--regrid", "always"]],
+                             ids=["nb", "always"])
+    def test_a_run_without_a_search_leaves_no_loss_table(self, tmp_path, flags):
+        out = tmp_path / "report"
+        first = run_cli("eval", *toy_args(), "--ranker", "mor", "--n-set", "1", "--out-dir", out)
+        assert first.returncode == 0, first.stderr
+        assert (out / "grid_loss.csv").exists()
+        again = run_cli("eval", *toy_args(), *flags, "--n-set", "1", "--out-dir", out)
+        assert again.returncode == 0, again.stderr
+        assert not (out / "grid_loss.csv").exists()
+
     def test_invalid_split_fails_before_any_computation(self, tmp_path):
         out = tmp_path / "report"
         result = run_cli("eval", *toy_args(), "--ranker", "mor", "--split", "1.5",
@@ -309,7 +321,7 @@ class TestEmit:
             def advise(self, view):
                 raise TrainingError("boom")
 
-        monkeypatch.setattr(cli, "_build_ranker", lambda *args: Boom())
+        monkeypatch.setattr(cli, "_build_ranker", lambda **flags: (Boom(), ("theorem",)))
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["emit", *map(str, toy_args()), "--mode", "advised", "-n", "2",
                       "--out-dir", str(tmp_path / "a")])

@@ -1,11 +1,14 @@
 """Recall metric, incremental protocol, problem emission, and CSVs."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from premsel import evaluate
 from premsel.corpus import load_corpus
 from premsel.errors import ConfigError, TrainingError
 from premsel.evaluate import (
@@ -19,6 +22,7 @@ from premsel.evaluate import (
     recall_at,
     report_csv,
     run_incremental,
+    select_conjectures,
 )
 from premsel.fol import ROLES, parse_file
 from premsel.kernel import GridSearchConfig, grid_search, ridge_score, ridge_train
@@ -85,6 +89,21 @@ class TestRankAdvice:
     def test_non_finite_score_is_a_training_error(self, bad):
         with pytest.raises(TrainingError, match="non-finite"):
             rank_advice("c", ["a", "b", "c", "d"], [1, bad, 3, 2])
+
+    def test_order_and_scores_equal_a_python_sort(self):
+        # signed zeros, subnormals and repeats are where an array sort
+        # could part from sorting on (-score, position)
+        rng = random.Random(11)
+        palette = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 1e300, -1e300]
+        for trial in range(3000):
+            size = rng.randrange(40)
+            scores = [rng.choice(palette) if rng.random() < 0.5 else rng.uniform(-3, 3)
+                      for _ in range(size)]
+            ids = [f"p{j}" for j in range(size)]
+            order = sorted(range(size), key=lambda j: (-scores[j], j))
+            advice = rank_advice("c", ids, np.array(scores) if trial % 2 else scores)
+            assert advice.premise_ids == tuple(ids[j] for j in order)
+            assert [s.hex() for s in advice.scores] == [scores[j].hex() for j in order]
 
 
 class TestAdviseFallback:
@@ -168,14 +187,16 @@ class TestKernelRidgeRanker:
         )
         config = GridSearchConfig(seed=5)
         ranker = KernelRidgeRanker(grid=config, regrid=regrid)
-        views = iter([view])
-        ranker.prepare(views)
-        # only regrid="once" searches ahead, and it stops at a trainable view
-        assert next(views, None) is (view if regrid == "always" else None)
         advice = ranker.advise(view)
 
-        search = grid_search(view, "gaussian", config)
-        assert ranker.search == (search if regrid == "once" else None)
+        if regrid == "once":
+            # the first two rows and the pool up to the second of them
+            first = dataclasses.replace(view, rows=view.rows[:2], premise_ids=("p0", "p1"))
+            search = grid_search(first, "gaussian", config)
+            assert ranker.search == search
+        else:
+            search = grid_search(view, "gaussian", config)
+            assert ranker.search is None
         model = ridge_train(view, search.best_kernel, search.best_lambda)
         assert model.lam == search.best_lambda
         assert model.coef.shape == (4, 2)
@@ -183,6 +204,62 @@ class TestKernelRidgeRanker:
         np.testing.assert_array_equal(model.coef, again.coef)
         scores = ridge_score(model, view.conjecture_features)
         assert advice == rank_advice(view.conjecture_id, view.premise_ids, scores)
+
+    @staticmethod
+    def _planted(tmp_path, seed=3):
+        formulas, deps = planted_corpus_text(n_items=60, n_topics=4, feats_per_topic=6,
+                                             seed=seed)
+        directory = tmp_path / f"seed{seed}"
+        directory.mkdir()
+        f, d = write_corpus(directory, formulas, deps)
+        return load_corpus([f], d)
+
+    def test_advice_depends_on_the_view_alone(self, tmp_path):
+        corpus = self._planted(tmp_path)
+        positions = select_conjectures(corpus)
+        walked = list(advise_each(corpus, KernelRidgeRanker(), positions))
+        for position, advice in list(zip(positions, walked))[-10:]:
+            assert KernelRidgeRanker().advise(corpus.training_view(position)) == advice
+
+    def test_one_ranker_serves_any_corpus_and_row_roles(self, tmp_path):
+        first, second = self._planted(tmp_path, seed=3), self._planted(tmp_path, seed=4)
+        ranker = KernelRidgeRanker()
+        steps = [(first, 50, ("theorem",)), (first, 40, ROLES), (second, 45, ("theorem",)),
+                 (first, 55, ("theorem",)), (second, 30, ROLES), (second, 59, ROLES)]
+        for corpus, position, row_roles in steps:
+            view = corpus.training_view(position, row_roles)
+            assert ranker.advise(view) == KernelRidgeRanker().advise(view)
+
+    def test_a_failed_search_is_an_error_of_every_trainable_step(self, tmp_path, monkeypatch):
+        corpus = self._planted(tmp_path)
+
+        def fail(*args):
+            raise TrainingError("no search")
+
+        monkeypatch.setattr(evaluate, "grid_search", fail)
+        report = run_incremental(corpus, KernelRidgeRanker(), n_values=[5])
+        trainable = [len(corpus.training_view(o.position).rows) >= 2 for o in report.outcomes]
+        assert 0 < sum(trainable) < len(trainable)
+        for outcome, can_train in zip(report.outcomes, trainable):
+            assert outcome.error == ("no search" if can_train else None)
+            assert outcome.fallback == (not can_train)
+        assert report.error_count == sum(trainable)
+
+    @pytest.mark.parametrize("regrid", ["once", "always"])
+    def test_searches_per_walk(self, tmp_path, monkeypatch, regrid):
+        corpus = self._planted(tmp_path)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return grid_search(*args)
+
+        monkeypatch.setattr(evaluate, "grid_search", counted)
+        grid = GridSearchConfig(lambda_grid=(0.5, 2.0), sigma_grid=(1.0, 2.0))
+        report = run_incremental(corpus, KernelRidgeRanker(grid=grid, regrid=regrid),
+                                 n_values=[5])
+        trainable = sum(not o.fallback for o in report.outcomes)
+        assert len(calls) == (1 if regrid == "once" else trainable)
 
     def test_regrid_once_does_not_depend_on_the_selection(self, tmp_path):
         # The search runs on the first trainable view of the walk however
