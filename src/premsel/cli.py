@@ -215,8 +215,8 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
 @click.option("--n-set", default=DEFAULT_N_SET, show_default=True,
               help="Comma-separated n values for recall@n.")
 @click.option("--jobs", type=int, default=None,
-              help="Parallel evaluation steps of the mor ranker (default: available "
-                   "cores); nb steps always run serially.")
+              help="Parallel evaluation steps (default: available cores); only mor "
+                   "steps under --regrid always run in parallel, others run serially.")
 @click.option("--out-dir", required=True)
 def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
              **ranker_flags):

@@ -23,7 +23,15 @@ import numpy as np
 from .corpus import Corpus, TrainingView
 from .errors import ConfigError, PremselError, TrainingError
 from .fol import ROLES, print_item
-from .kernel import GridSearchConfig, GridSearchResult, KernelSpec, grid_search, ridge_score, ridge_train
+from .kernel import (
+    GridSearchConfig,
+    GridSearchResult,
+    KernelSpec,
+    RidgeFactor,
+    grid_search,
+    ridge_score,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
+    ridge_train,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
+)
 from .naive_bayes import (
     NbCounts,
     nb_score,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
@@ -116,12 +124,19 @@ class KernelRidgeRanker:
     ``regrid="always"`` searches (lambda, sigma) on every view.
     ``regrid="once"`` searches on the first trainable view of the walk,
     which every later view contains: the first two training rows and
-    the pool up to the second of them.  Either way advice is a function
-    of the view alone.  Views with fewer than two rows or an empty pool
-    cannot be trained and get chronological fallback advice.
-    """
+    the pool up to the second of them.  Views with fewer than two rows
+    or an empty pool cannot be trained and get chronological fallback
+    advice.
 
-    stateful = False
+    Scores come from a :class:`~premsel.kernel.RidgeFactor` synced to
+    the view's rows at the searched point.  Under ``once`` the point
+    stays fixed, so one factor is kept across the walk and each view
+    appends only its new rows; that factor changes at every step, so
+    :func:`advise_each` runs those steps in order on one thread
+    (``stateful``).  Under ``always`` each view gets a fresh factor and
+    steps may run on threads.  Either way the factor appends rows one
+    at a time, so advice is a function of the view alone.
+    """
 
     def __init__(self, kernel_kind: str = "gaussian",
                  grid: GridSearchConfig | None = None, regrid: str = "once"):
@@ -134,15 +149,17 @@ class KernelRidgeRanker:
         # the regrid="once" search and the first two rows it was made from
         self.search: GridSearchResult | None = None
         self._search_rows: tuple = ()
+        self.factor = RidgeFactor()  # used by regrid="once"
+
+    @property
+    def stateful(self) -> bool:
+        return self.regrid == "once"
 
     def _search(self, view: TrainingView) -> GridSearchResult:
         if self.regrid == "always":
             return grid_search(view, self.kernel_kind, self.grid)
         first = view.rows[:2]
         # A tuple compare of the corpus's shared rows: mostly identity checks.
-        # No lock: every view of one walk has the same first two rows, so a
-        # concurrent duplicate search computes the same result.  ``search``
-        # is set before its key, so a thread that sees the key sees it.
         if first != self._search_rows:
             pool = view.premise_ids[: first[1].position + 1]
             self.search = grid_search(dataclasses.replace(view, rows=first, premise_ids=pool),
@@ -154,8 +171,9 @@ class KernelRidgeRanker:
         if len(view.rows) < 2 or not view.premise_ids:
             return chronological_fallback(view)
         search = self._search(view)
-        model = ridge_train(view, search.best_kernel, search.best_lambda)
-        scores = ridge_score(model, view.conjecture_features)
+        factor = self.factor if self.regrid == "once" else RidgeFactor()
+        factor.sync(view.rows, search.best_kernel, search.best_lambda)
+        scores = factor.score(len(view.premise_ids), view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
@@ -405,7 +423,9 @@ def emit_problems(
     Axioms are the conjecture's recorded dependencies (bushy), all
     chronologically earlier items (chainy), or the top-n ranked premises
     (advised); the conjecture itself is emitted with role
-    ``conjecture``.  Every file re-parses cleanly.
+    ``conjecture``.  Every file re-parses cleanly.  A ``*.p`` file
+    already in ``out_dir`` that this run would not write is a
+    :class:`ConfigError`, raised before anything is written.
     """
     if mode not in EMIT_MODES:
         raise ConfigError(f"mode must be one of {', '.join(EMIT_MODES)}")
@@ -421,6 +441,11 @@ def emit_problems(
             raise ConfigError(f"conjectures {other!r} and {name!r} both map to "
                               f"{_safe_filename(name)}.p")
     out = Path(out_dir)
+    # a problem file of an earlier run would pass for one of this run
+    stale = sorted(path.name for path in out.glob("*.p") if path.stem not in owners)
+    if stale:
+        raise ConfigError(f"{out / stale[0]} is left from an earlier run; emit into an "
+                          "empty directory or remove the earlier problem files")
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if mode == "advised":

@@ -316,6 +316,21 @@ class TestEmit:
         assert "'t,1'" in result.stderr and "'t_1'" in result.stderr
         assert not out.exists()
 
+    def test_problem_files_of_an_earlier_run_are_a_config_error(self, tmp_path):
+        out = tmp_path / "bushy"
+        assert run_cli("emit", *toy_args(), "--mode", "bushy", "--out-dir", out).returncode == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        result = run_cli("emit", *toy_args(), "--mode", "bushy", "--conjectures", "th_one_num",
+                         "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert f"{out / 'th_plus_one.p'} is left from an earlier run" in result.stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # the same selection again overwrites its own files
+        (out / "th_one_num.p").write_text("stale\n", encoding="utf-8")
+        again = run_cli("emit", *toy_args(), "--mode", "bushy", "--out-dir", out)
+        assert again.returncode == 0, again.stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_advised_training_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
         class Boom(NaiveBayesRanker):
             def advise(self, view):
@@ -327,6 +342,27 @@ class TestEmit:
                       "--out-dir", str(tmp_path / "a")])
         assert exit_info.value.code == 4
         assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_scipy_is_loaded_only_by_the_kernel_ranker(tmp_path):
+    script = (
+        "import sys\n"
+        "import premsel.cli\n"
+        "loaded = [any(m.split('.')[0] == 'scipy' for m in sys.modules)]\n"
+        "corpus = ['-f', sys.argv[1], '--deps', sys.argv[2]]\n"
+        "for argv in (['eval', *corpus, '--ranker', 'nb', '--out-dir', sys.argv[3] + '/nb'],\n"
+        "             ['emit', *corpus, '--mode', 'chainy', '--out-dir', sys.argv[3] + '/p'],\n"
+        "             ['eval', *corpus, '--ranker', 'mor', '--out-dir', sys.argv[3] + '/mor']):\n"
+        "    loaded.append(premsel.cli.main(argv))\n"
+        "    loaded.append(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, TOY / "formulas.p", TOY / "deps.txt",
+                             tmp_path],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # exit code, then whether scipy is loaded, after each command: only mor loads it
+    assert result.stdout.splitlines()[-1] == "[False, 0, False, 0, False, 0, True]"
 
 
 class TestMinimize:

@@ -25,7 +25,7 @@ from premsel.evaluate import (
     select_conjectures,
 )
 from premsel.fol import ROLES, parse_file
-from premsel.kernel import GridSearchConfig, grid_search, ridge_score, ridge_train
+from premsel.kernel import GridSearchConfig, RidgeFactor, grid_search, ridge_score, ridge_train
 from premsel.naive_bayes import nb_score, nb_train
 
 from helpers import (
@@ -202,8 +202,13 @@ class TestKernelRidgeRanker:
         assert model.coef.shape == (4, 2)
         again = ridge_train(view, search.best_kernel, search.best_lambda)
         np.testing.assert_array_equal(model.coef, again.coef)
-        scores = ridge_score(model, view.conjecture_features)
+        factor = RidgeFactor()
+        factor.sync(view.rows, search.best_kernel, search.best_lambda)
+        scores = factor.score(len(view.premise_ids), view.conjecture_features)
         assert advice == rank_advice(view.conjecture_id, view.premise_ids, scores)
+        # the dual scores are the model's, up to rounding
+        np.testing.assert_allclose(scores, ridge_score(model, view.conjecture_features),
+                                   rtol=0, atol=1e-12)
 
     @staticmethod
     def _planted(tmp_path, seed=3):
@@ -276,6 +281,92 @@ class TestKernelRidgeRanker:
         subset = run_incremental(corpus, KernelRidgeRanker(), n_values=[5], keep_advice=True,
                                  conjecture_ids=[o.conjecture_id for o in late[-6:]])
         assert subset.outcomes == late[-6:]
+
+
+class TestKernelRidgeFactorPath:
+    """The ranker's appended-factor advice against the primal reference,
+    and its independence of the walk that led to a view."""
+
+    @staticmethod
+    def _bits(advice):
+        return advice.premise_ids, [s.hex() for s in advice.scores], advice.fallback
+
+    @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
+    def test_every_step_agrees_with_the_reference(self, tmp_path, row_roles):
+        corpus = TestNaiveBayesRanker._planted(tmp_path, seed=1)
+        ranker = KernelRidgeRanker()
+        checked = 0
+        for position in range(len(corpus)):
+            view = corpus.training_view(position, row_roles)
+            advice = ranker.advise(view)
+            if advice.fallback:
+                assert len(view.rows) < 2 or not view.premise_ids
+                continue
+            point = ranker.search
+            model = ridge_train(view, point.best_kernel, point.best_lambda)
+            reference = ridge_score(model, view.conjecture_features)
+            tolerance = 1e-9 * np.abs(reference).max()
+            at = {pid: p for p, pid in enumerate(view.premise_ids)}
+            expected = reference[[at[pid] for pid in advice.premise_ids]]
+            assert np.abs(np.array(advice.scores) - expected).max() <= tolerance
+            # a descending order of the reference scores, up to the tolerance
+            assert (np.diff(expected) <= tolerance).all()
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("regrid", ["once", "always"])
+    def test_a_fresh_ranker_gives_the_bits_of_the_walk(self, tmp_path, regrid):
+        corpus = TestKernelRidgeRanker._planted(tmp_path)
+        positions = select_conjectures(corpus)
+        walked = list(advise_each(corpus, KernelRidgeRanker(regrid=regrid), positions,
+                                  jobs=2))
+        for position, advice in list(zip(positions, walked))[-10:]:
+            fresh = KernelRidgeRanker(regrid=regrid).advise(corpus.training_view(position))
+            assert self._bits(fresh) == self._bits(advice)
+
+    def test_a_kept_factor_and_a_fresh_factor_per_view_give_the_same_bits(self, tmp_path):
+        corpus = TestKernelRidgeRanker._planted(tmp_path)
+        positions = select_conjectures(corpus)
+        grid = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,))
+        once = advise_each(corpus, KernelRidgeRanker(grid=grid, regrid="once"), positions)
+        always = advise_each(corpus, KernelRidgeRanker(grid=grid, regrid="always"), positions,
+                             jobs=2)
+        assert [self._bits(a) for a in once] == [self._bits(a) for a in always]
+
+    def test_views_that_do_not_extend_the_factor_restart(self, tmp_path):
+        first = TestKernelRidgeRanker._planted(tmp_path, seed=3)
+        second = TestKernelRidgeRanker._planted(tmp_path, seed=4)
+        ranker = KernelRidgeRanker()
+        steps = [(first, p, ("theorem",)) for p in (50, 20, 55, 54, 30)]
+        steps += [(first, p, ROLES) for p in (40, 45)]
+        steps += [(second, p, ("theorem",)) for p in (35, 59)]
+        for corpus, position, row_roles in steps:
+            view = corpus.training_view(position, row_roles)
+            assert self._bits(ranker.advise(view)) == self._bits(KernelRidgeRanker().advise(view))
+        # a changed (lambda, sigma) on the same rows: three rankers share one factor
+        rankers = [KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(lam,), sigma_grid=(sigma,)))
+                   for lam, sigma in ((0.5, 1.0), (0.5, 2.0), (2.0, 2.0))]
+        for other in rankers[1:]:
+            other.factor = rankers[0].factor
+        view = first.training_view(55)
+        for ranker in (*rankers, rankers[0]):
+            fresh = KernelRidgeRanker(grid=ranker.grid).advise(view)
+            assert self._bits(ranker.advise(view)) == self._bits(fresh)
+
+    @pytest.mark.parametrize("regrid", ["once", "always"])
+    def test_a_non_positive_pivot_is_a_step_error(self, tmp_path, monkeypatch, regrid):
+        corpus = TestKernelRidgeRanker._planted(tmp_path)
+        monkeypatch.setattr(RidgeFactor, "_kernel_row",
+                            lambda self, features, n: np.full(n, -1.0))
+        grid = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(1.0,))
+        report = run_incremental(corpus, KernelRidgeRanker(grid=grid, regrid=regrid),
+                                 n_values=[5])
+        trainable = [len(corpus.training_view(o.position).rows) >= 2 for o in report.outcomes]
+        assert 0 < sum(trainable) < len(trainable)
+        for outcome, can_train in zip(report.outcomes, trainable):
+            assert (outcome.error is not None and "pivot" in outcome.error) == can_train
+            assert outcome.fallback == (not can_train)
+        assert report.error_count == sum(trainable)
 
 
 class TestRunIncremental:

@@ -1,6 +1,7 @@
 """Kernel evaluation, the closed-form ridge solve, scoring, and grid
 search, checked against finite-difference and eigenvalue oracles."""
 
+import dataclasses
 import math
 import random
 
@@ -10,8 +11,10 @@ import pytest
 from premsel.errors import ConfigError, TrainingError
 from premsel.features import FeatureVector
 from premsel.kernel import (
+    RESIDUAL_BOUND,
     GridSearchConfig,
     KernelSpec,
+    RidgeFactor,
     RidgeModel,
     build_kernel_matrix,
     cross_kernel,
@@ -143,6 +146,13 @@ class TestRidgeSolve:
             norms.append(np.abs(ridge_solve(K, Y, lam)).max())
         assert all(a >= b for a, b in zip(norms, norms[1:]))
         assert norms[-1] <= 1e-6
+
+    def test_a_nan_residual_is_a_training_error(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", lambda factor, Y: np.full(Y.shape, math.nan))
+        with pytest.raises(TrainingError, match="residual"):
+            ridge_solve(np.eye(2), np.eye(2), 1.0)
 
     def test_perturbing_the_solution_never_improves_the_objective(self):
         rng = np.random.default_rng(5)
@@ -305,3 +315,110 @@ class TestCrossKernel:
                     assert m[i, j] == pytest.approx(
                         kernel_eval(spec, rows[i], cols[j]), abs=1e-12
                     )
+
+
+def _random_view(rng, n_rows, pool=6):
+    rows = [(list(v.indices), {p for p in range(pool) if rng.uniform() < 0.3})
+            for v in random_vectors(rng, n_rows, width=15, max_size=6)]
+    return view_from_indices(rows, tuple(f"p{i}" for i in range(pool)),
+                             conjecture_indices=list(random_vectors(rng, 1, width=15)[0]))
+
+
+def _dual_scores(view, spec, lam, factor=None):
+    factor = factor if factor is not None else RidgeFactor()
+    factor.sync(view.rows, spec, lam)
+    return factor.score(len(view.premise_ids), view.conjecture_features)
+
+
+class TestRidgeFactor:
+    """The appended factor's dual scores against the primal reference
+    ``ridge_score(ridge_train(...))``, and the bits of its history."""
+
+    @pytest.mark.parametrize("spec", [GAUSS, LINEAR, KernelSpec("gaussian", 2.5)],
+                             ids=["gauss1", "linear", "gauss2.5"])
+    def test_growing_rows_match_the_reference(self, spec):
+        rng = np.random.default_rng(11)
+        view = _random_view(rng, 30)
+        for lam in (2.0**-7, 1.0, 2.0**7):
+            factor = RidgeFactor()
+            for n in range(1, len(view.rows) + 1):
+                prefix = dataclasses.replace(view, rows=view.rows[:n])
+                scores = _dual_scores(prefix, spec, lam, factor)
+                reference = ridge_score(ridge_train(prefix, spec, lam), view.conjecture_features)
+                assert scores.dtype == float and scores.shape == reference.shape
+                assert np.abs(scores - reference).max() <= 1e-9 * max(np.abs(reference).max(), 1)
+
+    def test_appending_in_steps_gives_the_bits_of_one_sync(self):
+        rng = np.random.default_rng(12)
+        view = _random_view(rng, 40)
+        walked = RidgeFactor()
+        for n in (2, 3, 9, 10, 25, 40):
+            walked.sync(view.rows[:n], GAUSS, 0.5)
+        fresh = RidgeFactor()
+        fresh.sync(view.rows, GAUSS, 0.5)
+        for features in random_vectors(rng, 5, width=15):
+            assert ([s.hex() for s in walked.score(6, features)]
+                    == [s.hex() for s in fresh.score(6, features)])
+
+    def test_other_rows_kernel_or_lambda_restart(self):
+        rng = np.random.default_rng(13)
+        view, other = _random_view(rng, 20), _random_view(rng, 20)
+        factor = RidgeFactor()
+        steps = [(view.rows, GAUSS, 1.0), (view.rows[:12], GAUSS, 1.0), (view.rows, GAUSS, 1.0),
+                 (other.rows, GAUSS, 1.0), (other.rows, GAUSS, 0.25),
+                 (other.rows, KernelSpec("gaussian", 3.0), 0.25), (other.rows, LINEAR, 0.25)]
+        for rows, spec, lam in steps:
+            prefix = dataclasses.replace(view, rows=rows)
+            assert ([s.hex() for s in _dual_scores(prefix, spec, lam, factor)]
+                    == [s.hex() for s in _dual_scores(prefix, spec, lam)])
+            assert factor.rows == rows
+
+    def test_premises_used_by_the_same_rows_tie_exactly(self):
+        rng = np.random.default_rng(14)
+        rows = [(list(v.indices), {0, 2} if rng.uniform() < 0.5 else {1})
+                for v in random_vectors(rng, 25, width=15, max_size=6)]
+        view = view_from_indices(rows, ("p0", "p1", "p2", "p3"), conjecture_indices=[1, 4])
+        scores = _dual_scores(view, GAUSS, 2.0**-7)
+        assert scores[0] == scores[2] != scores[1]
+        assert scores[3] == 0.0
+
+    def test_lambda_must_be_finite_and_positive(self):
+        view = _random_view(np.random.default_rng(15), 3)
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                RidgeFactor().sync(view.rows, GAUSS, lam)
+
+    def test_a_non_positive_pivot_is_a_training_error_and_empties_the_factor(self, monkeypatch):
+        view = _random_view(np.random.default_rng(16), 10)
+        factor = RidgeFactor()
+        factor.sync(view.rows[:4], GAUSS, 0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(RidgeFactor, "_kernel_row", lambda self, features, n: np.full(n, -1.0))
+            with pytest.raises(TrainingError, match="pivot"):
+                factor.sync(view.rows, GAUSS, 0.5)
+        assert factor.rows == ()
+        assert ([s.hex() for s in _dual_scores(view, GAUSS, 0.5, factor)]
+                == [s.hex() for s in _dual_scores(view, GAUSS, 0.5)])
+
+    def test_a_solve_off_by_more_than_the_bound_is_refined(self, monkeypatch):
+        view = _random_view(np.random.default_rng(17), 20)
+        reference = ridge_score(ridge_train(view, GAUSS, 0.5), view.conjecture_features)
+        solve = RidgeFactor._solve
+        calls = []
+
+        def first_call_off(self, rhs):
+            calls.append(rhs)
+            return solve(self, rhs) + (1e-6 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(RidgeFactor, "_solve", first_call_off)
+        scores = _dual_scores(view, GAUSS, 0.5)
+        assert len(calls) == 2
+        assert np.abs(scores - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("wrong", [1e-3, math.nan, math.inf])
+    def test_a_solve_that_refinement_cannot_mend_is_a_training_error(self, monkeypatch, wrong):
+        view = _random_view(np.random.default_rng(18), 20)
+        solve = RidgeFactor._solve
+        monkeypatch.setattr(RidgeFactor, "_solve", lambda self, rhs: solve(self, rhs) + wrong)
+        with pytest.raises(TrainingError, match=f"exceeds {RESIDUAL_BOUND:.0e}"):
+            _dual_scores(view, GAUSS, 0.5)
