@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import shlex
 import sys
 from collections import Counter
@@ -214,25 +213,20 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
               help="Roles evaluated as conjectures when --conjectures is not given.")
 @click.option("--n-set", default=DEFAULT_N_SET, show_default=True,
               help="Comma-separated n values for recall@n.")
-@click.option("--jobs", type=int, default=None,
-              help="Parallel evaluation steps (default: available cores); only mor "
-                   "steps under --regrid always run in parallel, others run serially.")
+# accepted without effect because perfbench/workloads.py and tests/test_trace_targets.py pass it
+@click.option("--jobs", type=int, default=1, hidden=True)
 @click.option("--out-dir", required=True)
 def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
              **ranker_flags):
     """Incremental evaluation: recall@n per conjecture plus averages."""
     n_values = _parse_ints(n_set, "--n-set")
     ids, roles = _parse_selection(conjectures, conjecture_roles)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
-    report = run_incremental(
-        corpus, engine, n_values=n_values, conjecture_ids=ids, conjecture_roles=roles,
-        row_roles=row_roles, jobs=jobs,
-    )
+    report = run_incremental(corpus, engine, n_values=n_values, conjecture_ids=ids,
+                             conjecture_roles=roles, row_roles=row_roles)
     paths = report_csv(report, out_dir)
     loss_table = Path(out_dir) / "grid_loss.csv"
     if getattr(engine, "search", None) is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +56,7 @@ class RankedAdvice:
     fallback: bool = False
 
 
-def rank_advice(conjecture_id, premise_ids, scores, fallback: bool = False) -> RankedAdvice:
+def rank_advice(conjecture_id, premise_ids, scores) -> RankedAdvice:
     s = np.asarray(scores, dtype=float)
     if len(s) != len(premise_ids):
         raise ValueError("scores and premise ids differ in length")
@@ -70,7 +69,6 @@ def rank_advice(conjecture_id, premise_ids, scores, fallback: bool = False) -> R
         conjecture_id,
         tuple(premise_ids[j] for j in order.tolist()),
         tuple(s[order].tolist()),
-        fallback,
     )
 
 
@@ -99,12 +97,7 @@ class NaiveBayesRanker:
     those of the previous view counts only its new rows, any other view
     counts from empty, so advice is a function of the view alone.  An
     empty pool gets chronological fallback advice.
-
-    The counts change at every step, so :func:`advise_each` runs its
-    steps in order on one thread (``stateful``).
     """
-
-    stateful = True
 
     def __init__(self, smoothing: float = 1.0):
         self.smoothing = smoothing
@@ -128,14 +121,12 @@ class KernelRidgeRanker:
     or an empty pool cannot be trained and get chronological fallback
     advice.
 
-    Scores come from a :class:`~premsel.kernel.RidgeFactor` synced to
-    the view's rows at the searched point.  Under ``once`` the point
-    stays fixed, so one factor is kept across the walk and each view
-    appends only its new rows; that factor changes at every step, so
-    :func:`advise_each` runs those steps in order on one thread
-    (``stateful``).  Under ``always`` each view gets a fresh factor and
-    steps may run on threads.  Either way the factor appends rows one
-    at a time, so advice is a function of the view alone.
+    Scores come from one :class:`~premsel.kernel.RidgeFactor`, kept
+    across the walk and synced to each view's rows at the searched
+    point: a view appends only its new rows while that point stays the
+    same, and restarts the factor when it changes.  The factor appends
+    rows one at a time either way, so advice is a function of the view
+    alone.
     """
 
     def __init__(self, kernel_kind: str = "gaussian",
@@ -149,11 +140,7 @@ class KernelRidgeRanker:
         # the regrid="once" search and the first two rows it was made from
         self.search: GridSearchResult | None = None
         self._search_rows: tuple = ()
-        self.factor = RidgeFactor()  # used by regrid="once"
-
-    @property
-    def stateful(self) -> bool:
-        return self.regrid == "once"
+        self.factor = RidgeFactor()
 
     def _search(self, view: TrainingView) -> GridSearchResult:
         if self.regrid == "always":
@@ -171,9 +158,8 @@ class KernelRidgeRanker:
         if len(view.rows) < 2 or not view.premise_ids:
             return chronological_fallback(view)
         search = self._search(view)
-        factor = self.factor if self.regrid == "once" else RidgeFactor()
-        factor.sync(view.rows, search.best_kernel, search.best_lambda)
-        scores = factor.score(len(view.premise_ids), view.conjecture_features)
+        self.factor.sync(view.rows, search.best_kernel, search.best_lambda)
+        scores = self.factor.score(len(view.premise_ids), view.conjecture_features)
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
@@ -226,30 +212,22 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
     return positions
 
 
-def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",), jobs: int = 1):
+def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",)):
     """Advice of ``ranker`` for each position, in order, each trained on
     everything strictly earlier.
 
     Yields the step's :class:`RankedAdvice`, or the :class:`PremselError`
-    the step raised.  Advice is a function of the step's view alone, so
-    it does not depend on which other positions are selected.  Each
-    training view lives only for its own step, so at most ``jobs``
-    views, each O(position) rows, are held at once.  Steps of a
-    ``stateful`` ranker run in position order on one thread; those of
-    other rankers may run on up to ``jobs`` threads.
+    the step raised.  The ranker carries its state from one step to the
+    next, but advice is a function of the step's view alone, so it does
+    not depend on which other positions are selected.  Each training
+    view lives only for its own step.
     """
-
-    def step(position: int):
+    for position in positions:
         try:
-            return ranker.advise(corpus.training_view(position, row_roles))
+            advice = ranker.advise(corpus.training_view(position, row_roles))
         except PremselError as exc:
-            return exc
-
-    if jobs == 1 or len(positions) <= 1 or ranker.stateful:
-        yield from map(step, positions)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(step, positions)
+            advice = exc
+        yield advice
 
 
 def _mean(values) -> float:
@@ -270,24 +248,18 @@ def run_incremental(
     conjecture_ids=None,
     conjecture_roles=("theorem",),
     row_roles=("theorem",),
-    jobs: int = 1,
     keep_advice: bool = False,
 ) -> RecallReport:
-    """Train-on-the-past / rank / score every selected conjecture.
-
-    Steps may run on up to ``jobs`` threads (see :func:`advise_each`);
-    results are merged in position order and are identical for any job
-    count.  Per-step training errors are recorded on the outcome and the
-    run continues.
+    """Train-on-the-past / rank / score every selected conjecture, in
+    position order (see :func:`advise_each`).  Per-step training errors
+    are recorded on the outcome and the run continues.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
     if not n_values or n_values[0] < 1:
         raise ConfigError("n values must be positive integers")
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     outcomes = []
-    for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles, jobs)):
+    for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles)):
         entry = corpus.entries[position]
         used = entry.dependencies
         outcome = ConjectureOutcome(

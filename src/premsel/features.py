@@ -55,8 +55,7 @@ class FeatureDictionary:
 
     Extending the dictionary never changes existing indices, so feature
     vectors built against an earlier state stay valid.  Extension is the
-    only mutation and must be serialized by the caller; lookups are safe
-    to share between threads.
+    only mutation.
     """
 
     __slots__ = ("_keys", "_index")

@@ -191,14 +191,16 @@ class RidgeFactor:
             self._reset(spec, lam)
             n = 0
         packed = len(rows) * (len(rows) + 1) // 2
-        if packed > len(self._K):  # grow by doubling, not at every step
-            extra = np.empty(max(packed, 2 * len(self._K)) - len(self._K))
-            self._K = np.concatenate([self._K, extra])
-            self._L = np.concatenate([self._L, extra])
+        # an exception part-way, an interrupt too, leaves rows counted that
+        # self.rows does not hold, so the state goes back to empty
         try:
+            if packed > len(self._K):  # grow by doubling, not at every step
+                extra = np.empty(max(packed, 2 * len(self._K)) - len(self._K))
+                self._K = np.concatenate([self._K, extra])
+                self._L = np.concatenate([self._L, extra])
             for i in range(n, len(rows)):
                 self._append(i, rows[i])
-        except TrainingError:
+        except BaseException:
             self._reset(None, None)
             raise
         self.rows = rows

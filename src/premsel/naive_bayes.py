@@ -224,13 +224,19 @@ class NbCounts:
         new = rows[n:]
         if any(row.features is None for row in new):
             raise TrainingError("training row without a feature vector")
-        for row in new:
-            for i in row.features.indices:
-                self._totals[i] = self._totals.get(i, 0) + 1
-            if row.used:
-                self._used.extend(row.used)
+        # an exception part-way, an interrupt too, leaves rows counted that
+        # self.rows does not hold, so the state goes back to empty
+        try:
+            for row in new:
                 for i in row.features.indices:
-                    self._used_by_feature.setdefault(i, array("i")).extend(row.used)
+                    self._totals[i] = self._totals.get(i, 0) + 1
+                if row.used:
+                    self._used.extend(row.used)
+                    for i in row.features.indices:
+                        self._used_by_feature.setdefault(i, array("i")).extend(row.used)
+        except BaseException:
+            self._reset()
+            raise
         self.rows = rows
         a = self.smoothing
         grown = range(len(self._logs), len(rows) + 1)

@@ -180,6 +180,13 @@ class TestEval:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_jobs_below_one_is_a_config_error(self, tmp_path):
+        out = tmp_path / "report"
+        result = run_cli("eval", *toy_args(), "--jobs", "0", "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert "--jobs must be >= 1" in result.stderr
+        assert not out.exists()
+
     def test_repeated_conjecture_ids_count_once(self, tmp_path):
         once, twice = tmp_path / "once", tmp_path / "twice"
         first = run_cli("eval", *toy_args(), "--conjectures", "th_plus_succ",
