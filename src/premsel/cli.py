@@ -279,9 +279,14 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
 @click.option("--batch", is_flag=True, help="Chunked passes before the element-wise pass.")
 @click.option("--schedule", default=None, help="Comma-separated chunk sizes for --batch.")
 @click.option("--trace-csv", default=None, help="Write the removal trace here.")
+@click.option("--oracle-timeout", type=float, default=None, metavar="SECONDS",
+              help="Kill a probe after this long and count it insufficient (default: none).")
 @click.option("--out-dir", default=None)
-def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_dir):
+def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracle_timeout,
+             out_dir):
     """Reduce a dependency set to a 1-minimal sufficient subset."""
+    if oracle_timeout is not None and not 0 < oracle_timeout < math.inf:
+        raise ConfigError("--oracle-timeout must be finite and positive")
     if (ids is None) == (ids_file is None):
         raise ConfigError("give exactly one of --ids or --ids-file")
     if ids is not None:
@@ -298,7 +303,7 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, out_d
     sizes = _parse_ints(schedule, "--schedule") if schedule is not None else None
     if sizes is not None and not batch:
         raise ConfigError("--schedule requires --batch")
-    oracle = SubprocessOracle(shlex.split(oracle_cmd))
+    oracle = SubprocessOracle(shlex.split(oracle_cmd), timeout=oracle_timeout)
     if batch:
         result = batch_minimize(candidates, oracle, sizes)
     else:

@@ -7,7 +7,11 @@ candidate premises), and regularization ``lam > 0``, the coefficient
 matrix solves ``(K + lam*I) A = Y`` through a single symmetric
 positive-definite factorization.  A conjecture is scored as
 ``A^T k`` where ``k`` holds its kernel values against the training
-rows.  Hyperparameters come from a seeded 70/30 grid search.
+rows.  Hyperparameters come from a seeded 70/30 grid search, which needs
+only the validation predictions ``K_vt (K_tt + lam*I)^-1 Y_train``: it
+solves for the validation columns ``K_tv``, not for one column per
+premise, takes one eigendecomposition of ``K_tt`` per sigma to serve
+every lambda, and checks each lambda's solve against the residual bound.
 
 The same scores have a dual form, ``A^T k = Y^T alpha`` with
 ``alpha = (K + lam*I)^-1 k``: one right-hand side per conjecture
@@ -358,6 +362,10 @@ class GridSearchConfig:
             raise ConfigError("hyperparameter grids must be nonempty")
         if not all(0 < v < math.inf for v in (*self.lambda_grid, *self.sigma_grid)):
             raise ConfigError("grid values must be finite and positive")
+        for name, grid in (("lambda", self.lambda_grid), ("sigma", self.sigma_grid)):
+            repeated = [v for v in set(grid) if grid.count(v) > 1]
+            if repeated:
+                raise ConfigError(f"{name} grid repeats the value {min(repeated)!r}")
         if not 0 < self.split < 1:
             raise ConfigError(f"split fraction must lie in (0, 1), got {self.split}")
 
@@ -370,10 +378,52 @@ class GridSearchResult:
     table: list[tuple[float, float | None, float]]
 
 
+def _ridge_columns(K_tt: np.ndarray, K_tv: np.ndarray, lams) -> np.ndarray:
+    """``(K_tt + lam*I)^-1 K_tv`` for every ``lam`` of ``lams`` at once, as
+    an ``(n_t, len(lams), n_v)`` array, from one eigendecomposition of
+    ``K_tt``.  Each lambda's block is checked against ``RESIDUAL_BOUND``
+    as :func:`ridge_solve` checks its solves, and a failing block gets
+    one refinement step through the same eigenbasis."""
+    n_t, n_v = K_tv.shape
+    w, Q = np.linalg.eigh(K_tt)
+
+    def solve(rhs, lam):  # rhs: (n_t, 1 or len(lam), n_v)
+        coords = (Q.T @ rhs.reshape(n_t, -1)).reshape(n_t, -1, n_v)
+        coords = coords / (w[:, None, None] + lam[None, :, None])
+        return (Q @ coords.reshape(n_t, -1)).reshape(n_t, len(lam), n_v)
+
+    def residual(B, lam):
+        r = (K_tt @ B.reshape(n_t, -1)).reshape(B.shape)
+        for j, lam_j in enumerate(lam):  # block by block: no temporary the size of B
+            r[:, j] += lam_j * B[:, j]
+        r -= K_tv[:, None, :]
+        return r
+
+    def bounds(r):  # max |r| per block; NaN propagates
+        return np.maximum(r.max(axis=(0, 2)), -r.min(axis=(0, 2)))
+
+    lams = np.asarray(lams, dtype=float)
+    B = solve(K_tv[:, None, :], lams)
+    r = residual(B, lams)
+    # written so that a NaN residual fails
+    bad = ~(bounds(r) <= RESIDUAL_BOUND)
+    if bad.any():
+        B[:, bad] -= solve(r[:, bad], lams[bad])
+        bound = bounds(residual(B[:, bad], lams[bad])).max()
+        if not bound <= RESIDUAL_BOUND:
+            raise TrainingError(f"solve residual {bound:.3e} exceeds {RESIDUAL_BOUND:.0e}")
+    return B
+
+
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
     """Pick (lambda, kernel) minimizing validation loss; training on the
     full view is left to :func:`ridge_train`.  Ties go to the smaller
-    lambda, then smaller sigma."""
+    lambda, then smaller sigma.
+
+    The loss of a point is ``|K_vt (K_tt + lam*I)^-1 Y_train - Y_val|^2``,
+    computed as ``B^T Y_train - Y_val`` with ``B = (K_tt + lam*I)^-1 K_tv``:
+    one right-hand side per validation row, not one per premise, and one
+    eigendecomposition per sigma serves every lambda."""
     if kernel_kind == "gaussian":
         specs = [KernelSpec(kernel_kind, sigma) for sigma in sorted(config.sigma_grid)]
     else:
@@ -399,15 +449,22 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     sizes = np.array([len(v) for v in vectors])
     sizes_t, sizes_v = sizes[train_idx], sizes[val_idx]
 
+    lams = sorted(config.lambda_grid)
+    losses = np.empty((len(lams), len(specs)))
+    for s, spec in enumerate(specs):
+        K_tt = _kernelize(spec, gram_tt, sizes_t, sizes_t)
+        K_vt = _kernelize(spec, gram_vt, sizes_v, sizes_t)
+        B = _ridge_columns(K_tt, K_vt.T, lams)
+        for j in range(len(lams)):
+            losses[j, s] = ((B[:, j, :].T @ Y_train - Y_val) ** 2).sum()
+        del B  # freed before the next sigma's is built, which keeps peak memory down
+
     table: list[tuple[float, float | None, float]] = []
     best: tuple[float, KernelSpec] | None = None
     best_loss = math.inf
-    for lam in sorted(config.lambda_grid):
-        for spec in specs:
-            K_tt = _kernelize(spec, gram_tt, sizes_t, sizes_t)
-            K_vt = _kernelize(spec, gram_vt, sizes_v, sizes_t)
-            A = ridge_solve(K_tt, Y_train, lam)
-            loss = float(((K_vt @ A - Y_val) ** 2).sum())
+    for j, lam in enumerate(lams):
+        for s, spec in enumerate(specs):
+            loss = float(losses[j, s])
             table.append((lam, spec.sigma if spec.kind == "gaussian" else None, loss))
             if loss < best_loss:
                 best_loss = loss

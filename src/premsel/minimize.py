@@ -26,14 +26,30 @@ class InsufficientStartError(PremselError):
     """The starting set already fails the oracle; nothing to minimize."""
 
 
+class _Timeout:
+    """Verdict of a probe whose oracle ran out of time: insufficient."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "TIMEOUT"
+
+
+TIMEOUT = _Timeout()
+
+
 @dataclass(frozen=True, slots=True)
 class ProbeRecord:
     """One attempted removal: the ids tried and the oracle's verdict.
 
-    A sufficient probe means the attempted ids were removed."""
+    A sufficient probe means the attempted ids were removed.  The verdict
+    is ``True``, ``False`` or the falsy :data:`TIMEOUT`."""
 
     attempted: tuple[str, ...]
-    sufficient: bool
+    sufficient: bool | _Timeout
 
 
 @dataclass(frozen=True)
@@ -59,9 +75,10 @@ class CountingOracle:
         self._predicate = predicate
         self.calls = 0
 
-    def __call__(self, ids: tuple[str, ...]) -> bool:
+    def __call__(self, ids: tuple[str, ...]) -> bool | _Timeout:
         self.calls += 1
-        return bool(self._predicate(ids))
+        verdict = self._predicate(ids)
+        return verdict if verdict is TIMEOUT else bool(verdict)
 
 
 class SubprocessOracle:
@@ -70,15 +87,22 @@ class SubprocessOracle:
     The candidate ids are written to the command's standard input, one
     per line; exit status 0 means sufficient, anything else means
     insufficient.  This is the hook point for plugging in real
-    verifiers.
+    verifiers.  A command still running after ``timeout`` seconds is
+    killed and its verdict is :data:`TIMEOUT`; processes it started
+    itself are not killed with it.
     """
 
-    def __init__(self, command: Sequence[str]):
+    def __init__(self, command: Sequence[str], timeout: float | None = None):
         self.command = list(command)
+        self.timeout = timeout
 
-    def __call__(self, ids: tuple[str, ...]) -> bool:
+    def __call__(self, ids: tuple[str, ...]) -> bool | _Timeout:
         text = "".join(f"{i}\n" for i in ids)
-        proc = subprocess.run(self.command, input=text, text=True, capture_output=True)
+        try:
+            proc = subprocess.run(self.command, input=text, text=True, capture_output=True,
+                                  timeout=self.timeout)
+        except subprocess.TimeoutExpired:
+            return TIMEOUT
         return proc.returncode == 0
 
 
@@ -89,7 +113,10 @@ def _as_counting(oracle) -> CountingOracle:
 def _check_start(ids: list[str], oracle: CountingOracle) -> None:
     if len(set(ids)) != len(ids):
         raise ValueError("candidate ids must be distinct")
-    if not oracle(tuple(ids)):
+    verdict = oracle(tuple(ids))
+    if verdict is TIMEOUT:
+        raise InsufficientStartError("the oracle timed out on the starting set")
+    if not verdict:
         raise InsufficientStartError("the starting set does not satisfy the oracle")
 
 
@@ -174,4 +201,6 @@ def write_trace_csv(result: MinimizationResult, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step", "attempted_ids", "sufficient"])
         for step, record in enumerate(result.trace):
-            writer.writerow([step, " ".join(record.attempted), "true" if record.sufficient else "false"])
+            verdict = ("timeout" if record.sufficient is TIMEOUT
+                       else "true" if record.sufficient else "false")
+            writer.writerow([step, " ".join(record.attempted), verdict])

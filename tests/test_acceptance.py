@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from premsel import kernel
 from premsel.corpus import TrainingRow, TrainingView, load_corpus
 from premsel.evaluate import (
     KernelRidgeRanker,
@@ -39,6 +40,7 @@ from helpers import (
     random_vectors,
     ridge_fd_gradient,
     ridge_objective,
+    view_from_indices,
     write_corpus,
 )
 
@@ -96,10 +98,10 @@ def test_criterion_1_ridge_closed_form_matches_optimization_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_normal_equation_residual_bound():
-    # ridge_solve rechecks this bound internally on every run in the
-    # suite and raises on violation; here the residual is recomputed
-    # independently for a battery of fresh solves.
+def test_criterion_2_normal_equation_residual_bound(monkeypatch):
+    # ridge_solve and the grid search recheck this bound internally on
+    # every run in the suite and raise on violation; here the residual is
+    # recomputed independently for a battery of fresh solves.
     with criterion(2, "solve residual below 1e-8 on every training run"):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(60):
@@ -111,6 +113,33 @@ def test_criterion_2_normal_equation_residual_bound():
             A = ridge_solve(K, Y, lam)
             residual = (K + lam * np.eye(n)) @ A - Y
             assert np.abs(residual).max() <= 1e-8
+
+        # The grid search solves (K_tt + lam*I) B = K_tv for every lambda
+        # of a sigma at once; its solves are recomputed here block by block.
+        solves = []
+
+        def recording(K_tt, K_tv, lams):
+            B = ridge_columns(K_tt, K_tv, lams)
+            solves.append((K_tt, K_tv, lams, B))
+            return B
+
+        ridge_columns = kernel._ridge_columns
+        monkeypatch.setattr(kernel, "_ridge_columns", recording)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            view = view_from_indices(
+                [(list(v.indices), {int(p) for p in np.flatnonzero(rng.uniform(size=5) < 0.3)})
+                 for v in random_vectors(rng, n, width=30, max_size=8)],
+                [f"p{i}" for i in range(5)],
+            )
+            kind = ("gaussian", "linear")[trial % 2]
+            kernel.grid_search(view, kind, GridSearchConfig(seed=trial))
+        assert len(solves) == 10 * len(GridSearchConfig().sigma_grid) + 10
+        for K_tt, K_tv, lams, B in solves:
+            assert B.shape == (len(K_tt), len(lams), K_tv.shape[1])
+            for b, lam in enumerate(lams):
+                residual = (K_tt + lam * np.eye(len(K_tt))) @ B[:, b, :] - K_tv
+                assert np.abs(residual).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,17 @@ class TestEval:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lambda-grid", "1,1.0", "--sigma-grid", "2,2"], "lambda grid repeats the value 1.0"),
+        (["--lambda-grid", "1,2", "--sigma-grid", "2,3,2.0"], "sigma grid repeats the value 2.0"),
+    ])
+    def test_a_repeated_grid_value_is_a_config_error(self, tmp_path, flags, message):
+        out = tmp_path / "report"
+        result = run_cli("eval", *toy_args(), "--ranker", "mor", *flags, "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert not out.exists()
+
     def test_jobs_below_one_is_a_config_error(self, tmp_path):
         out = tmp_path / "report"
         result = run_cli("eval", *toy_args(), "--jobs", "0", "--out-dir", out)
@@ -409,6 +420,33 @@ class TestMinimize:
         result = run_cli("minimize", "--oracle-cmd", "false", "--ids", "a,b")
         assert result.returncode == 4
 
+    def test_oracle_timeout_marks_the_trace(self, tmp_path):
+        # removing b hangs the oracle, which is killed after the timeout
+        script = ("import sys, time; ids = sys.stdin.read().split(); "
+                  "'b' in ids or time.sleep(30); sys.exit(0 if 'a' in ids else 1)")
+        trace = tmp_path / "trace.csv"
+        result = run_cli("minimize", "--oracle-cmd", f'"{sys.executable}" -c "{script}"',
+                         "--ids", "a,b,c", "--oracle-timeout", "2", "--trace-csv", trace)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["a", "b"]
+        assert trace.read_text().splitlines() == [
+            "step,attempted_ids,sufficient", "0,a,false", "1,b,timeout", "2,c,true"]
+
+    def test_a_hung_start_is_a_runtime_error(self):
+        result = run_cli("minimize", "--oracle-cmd", "sleep 30", "--ids", "a",
+                         "--oracle-timeout", "0.2")
+        assert result.returncode == 4
+        assert "timed out" in result.stderr
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan"])
+    def test_oracle_timeout_must_be_finite_and_positive(self, tmp_path, timeout):
+        out = tmp_path / "out"
+        result = run_cli("minimize", "--oracle-cmd", "true", "--ids", "a",
+                         "--oracle-timeout", timeout, "--out-dir", out)
+        assert result.returncode == 2
+        assert "--oracle-timeout must be finite and positive" in result.stderr
+        assert not out.exists()
+
 
 RANKER_OPTIONS = {
     "ranker": "nb", "kernel": "gaussian", "lambda_grid": None, "sigma_grid": None,
@@ -449,7 +487,7 @@ class TestMetadata:
         "minimize": (
             ["minimize", "--oracle-cmd", "true", "--ids", "a,b", "--batch"],
             {"oracle_cmd": "true", "ids": "a,b", "ids_file": None, "order": "given",
-             "batch": True, "schedule": None, "trace_csv": None},
+             "batch": True, "schedule": None, "trace_csv": None, "oracle_timeout": None},
         ),
     }
 

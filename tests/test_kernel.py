@@ -301,6 +301,118 @@ class TestGridSearch:
             GridSearchConfig(sigma_grid=(1.0, -2.0))
         with pytest.raises(ConfigError):
             GridSearchConfig(lambda_grid=(1.0, math.inf))
+        with pytest.raises(ConfigError, match="lambda grid repeats the value 1.0"):
+            GridSearchConfig(lambda_grid=(1.0, 2.0, 1.0))
+        with pytest.raises(ConfigError, match="sigma grid repeats the value 0.5"):
+            GridSearchConfig(sigma_grid=(0.5, 0.5))
+
+
+def _reference_grid_search(view, kernel_kind, config):
+    """The per-point loop the eigendecomposition replaced: one pool-wide
+    ``ridge_solve`` per (lambda, sigma), loss ``|K_vt A - Y_val|^2``."""
+    n = len(view.rows)
+    order = np.arange(n)
+    if not config.chronological:
+        order = np.random.default_rng(config.seed).permutation(n)
+    n_train = min(max(int(round(config.split * n)), 1), n - 1)
+    train_idx, val_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
+    Y = np.zeros((n, len(view.premise_ids)))
+    for r, row in enumerate(view.rows):
+        Y[r, list(row.used)] = 1.0
+    train = [view.rows[i].features for i in train_idx]
+    val = [view.rows[i].features for i in val_idx]
+    if kernel_kind == "gaussian":
+        specs = [KernelSpec("gaussian", sigma) for sigma in sorted(config.sigma_grid)]
+    else:
+        specs = [LINEAR]
+    table, best, best_loss = [], None, math.inf
+    for lam in sorted(config.lambda_grid):
+        for spec in specs:
+            A = ridge_solve(cross_kernel(spec, train, train), Y[train_idx], lam)
+            loss = float(((cross_kernel(spec, val, train) @ A - Y[val_idx]) ** 2).sum())
+            table.append((lam, spec.sigma if spec.kind == "gaussian" else None, loss))
+            if loss < best_loss:
+                best_loss, best = loss, (lam, spec)
+    return best, table
+
+
+def _assert_matches_reference(view, kernel_kind, config):
+    result = grid_search(view, kernel_kind, config)
+    best, table = _reference_grid_search(view, kernel_kind, config)
+    assert (result.best_lambda, result.best_kernel) == best
+    assert [row[:2] for row in result.table] == [row[:2] for row in table]
+    for (_, _, got), (_, _, want) in zip(result.table, table):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    return result
+
+
+class TestGridSearchAgainstReference:
+    """One eigendecomposition per sigma against one ``ridge_solve`` per
+    grid point: same chosen point, losses equal to 1e-12 relative."""
+
+    @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
+    @pytest.mark.parametrize("chronological", [False, True], ids=["shuffled", "chronological"])
+    def test_random_views(self, kernel_kind, chronological):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            view = _random_view(rng, int(rng.integers(2, 40)), pool=int(rng.integers(1, 9)))
+            config = GridSearchConfig(seed=trial, chronological=chronological)
+            _assert_matches_reference(view, kernel_kind, config)
+
+    @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
+    def test_one_validation_row(self, kernel_kind):
+        rng = np.random.default_rng(22)
+        for n in (2, 3, 12):
+            # round(n - 0.5) training rows is n - 1 or n, clamped to n - 1
+            config = GridSearchConfig(split=1 - 0.5 / n, seed=n)
+            _assert_matches_reference(_random_view(rng, n), kernel_kind, config)
+
+    @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
+    def test_empty_pool(self, kernel_kind):
+        view = _random_view(np.random.default_rng(23), 10, pool=0)
+        result = _assert_matches_reference(view, kernel_kind, GridSearchConfig(seed=3))
+        assert {loss for _, _, loss in result.table} == {0.0}
+
+
+def _shift_eigenvalues(monkeypatch, shift):
+    """Make every solve through ``np.linalg.eigh`` off: eigenvalues move
+    by ``shift``, so ``(K_tt + lam*I)`` is inverted as if lam were
+    ``lam + shift``, in the first solve and in the refinement alike."""
+    eigh = np.linalg.eigh
+
+    def shifted(K):
+        w, Q = eigh(K)
+        return w + shift, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+
+
+class TestGridSearchResidual:
+    """Mirrors :class:`TestRidgeFactor`'s residual tests for the grid
+    search's eigenbasis solves."""
+
+    CONFIG = GridSearchConfig(lambda_grid=(0.5, 1.0, 4.0), sigma_grid=(1.0, 3.0), seed=5)
+
+    def _view(self):
+        return _random_view(np.random.default_rng(24), 25)
+
+    def test_a_solve_off_by_more_than_the_bound_is_refined(self, monkeypatch):
+        # Off by 1e-6 the solves miss the bound and the losses the
+        # reference's by about 1e-6 relative; one refinement step takes
+        # the error to about (1e-6 / lam)^2.
+        view = self._view()
+        _, reference = _reference_grid_search(view, "gaussian", self.CONFIG)
+        _shift_eigenvalues(monkeypatch, 1e-6)
+        result = grid_search(view, "gaussian", self.CONFIG)
+        for (_, _, got), (_, _, want) in zip(result.table, reference):
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("wrong", [1e-3, math.nan, math.inf])
+    def test_a_solve_that_refinement_cannot_mend_is_a_training_error(self, monkeypatch, wrong):
+        view = self._view()
+        _shift_eigenvalues(monkeypatch, wrong)
+        with pytest.raises(TrainingError, match=f"exceeds {RESIDUAL_BOUND:.0e}"):
+            grid_search(view, "gaussian", self.CONFIG)
 
 
 class TestCrossKernel:

@@ -3,12 +3,14 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
 from premsel.minimize import (
     CountingOracle,
     InsufficientStartError,
+    TIMEOUT,
     SubprocessOracle,
     batch_minimize,
     greedy_minimize,
@@ -180,3 +182,9 @@ class TestOracles:
         assert lines[0] == "step,attempted_ids,sufficient"
         assert lines[1] == "0,a,false"
         assert lines[2] == "1,b,true"
+
+    def test_a_hung_oracle_times_out_as_insufficient(self):
+        started = time.monotonic()
+        verdict = SubprocessOracle(["sleep", "30"], timeout=0.2)(("a",))
+        assert verdict is TIMEOUT and not verdict
+        assert time.monotonic() - started < 10
