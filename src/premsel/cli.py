@@ -271,7 +271,8 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
 
 @cli.command()
 @click.option("--oracle-cmd", required=True,
-              help="Command run per probe; candidate ids on stdin, exit 0 = sufficient.")
+              help="Command run per probe; candidate ids on stdin, exit 0 = sufficient; "
+                   "its output is discarded.")
 @click.option("--ids", default=None, help="Comma-separated candidate ids.")
 @click.option("--ids-file", default=None, help="File with one candidate id per line.")
 @click.option("--order", type=click.Choice(["given", "reverse"]), default="given",

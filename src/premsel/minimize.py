@@ -86,10 +86,13 @@ class SubprocessOracle:
 
     The candidate ids are written to the command's standard input, one
     per line; exit status 0 means sufficient, anything else means
-    insufficient.  This is the hook point for plugging in real
-    verifiers.  A command still running after ``timeout`` seconds is
-    killed and its verdict is :data:`TIMEOUT`; processes it started
-    itself are not killed with it.
+    insufficient.  The command's standard output and error are
+    discarded: the exit status alone is the verdict, and a process the
+    command leaves running in the background does not hold the probe
+    open.  This is the hook point for plugging in real verifiers.  A
+    command still running after ``timeout`` seconds is killed and its
+    verdict is :data:`TIMEOUT`; processes it started itself are not
+    killed with it.
     """
 
     def __init__(self, command: Sequence[str], timeout: float | None = None):
@@ -99,7 +102,8 @@ class SubprocessOracle:
     def __call__(self, ids: tuple[str, ...]) -> bool | _Timeout:
         text = "".join(f"{i}\n" for i in ids)
         try:
-            proc = subprocess.run(self.command, input=text, text=True, capture_output=True,
+            proc = subprocess.run(self.command, input=text, text=True,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                                   timeout=self.timeout)
         except subprocess.TimeoutExpired:
             return TIMEOUT

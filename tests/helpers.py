@@ -8,6 +8,7 @@ subterm walks, finite differences) so agreement is meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -220,6 +221,26 @@ def planted_corpus_text(n_items: int = 200, n_topics: int = 6, feats_per_topic: 
         if deps:
             dep_lines.append(f"th{i:03d}: " + " ".join(f"th{j:03d}" for j in deps))
     return "\n".join(lines) + "\n", "\n".join(dep_lines) + "\n"
+
+
+def rich_corpus_text(n_items: int = 200, seed: int = 0, **planted):
+    """``planted_corpus_text`` with every formula ``And``-joined to a
+    seeded ``rand_formula``: wider formulas, the same dependencies."""
+    formulas, deps = planted_corpus_text(n_items=n_items, seed=seed, **planted)
+    rng = random.Random(seed)
+    items = [fol.NamedItem(item.name, item.role, fol.And(item.formula, rand_formula(rng)))
+             for item in fol.parse_items(formulas)]
+    return "".join(fol.print_item(item) + "\n" for item in items), deps
+
+
+def reference_problem_text(corpus, position: int, axiom_ids) -> str:
+    """A problem file printed item by item: every axiom afresh for every
+    file, the loop that emission ran before it cached printed text."""
+    lines = [fol.print_item(dataclasses.replace(corpus.entry(axiom_id).item, role="axiom"))
+             for axiom_id in axiom_ids]
+    conjecture = corpus.entries[position].item
+    lines.append(fol.print_item(dataclasses.replace(conjecture, role="conjecture")))
+    return "\n".join(lines) + "\n"
 
 
 def write_corpus(tmp_path, formulas_text: str, deps_text: str):

@@ -24,7 +24,7 @@ from premsel.evaluate import (
     run_incremental,
     select_conjectures,
 )
-from premsel.fol import ROLES, parse_file
+from premsel.fol import ROLES, parse_file, print_item
 from premsel.kernel import GridSearchConfig, RidgeFactor, grid_search, ridge_score, ridge_train
 from premsel.naive_bayes import nb_score, nb_train
 
@@ -32,6 +32,8 @@ from helpers import (
     nb_oracle_score,
     oracle_feature_keys,
     planted_corpus_text,
+    reference_problem_text,
+    rich_corpus_text,
     view_from_indices,
     write_corpus,
 )
@@ -721,6 +723,40 @@ class TestEmit:
         items = parse_file(files[0])
         assert len(items) == 2
         assert items[0].name == "item1"  # the dependency ranks first
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_files_match_the_per_axiom_reference(self, tmp_path, seed):
+        formulas, deps = rich_corpus_text(n_items=40, seed=seed, n_topics=4, feats_per_topic=6)
+        f, d = write_corpus(tmp_path, formulas, deps)
+        corpus = load_corpus([f], d)
+        theorems = select_conjectures(corpus, None, ("theorem",))
+        advice = dict(zip(theorems, advise_each(corpus, NaiveBayesRanker(), theorems,
+                                                 ("theorem",))))
+        axioms = {
+            "bushy": lambda p: sorted(corpus.entries[p].dependencies, key=corpus.position_of),
+            "chainy": lambda p: [e.name for e in corpus.entries[:p]],
+            "advised": lambda p: advice[p].premise_ids[:3],
+        }
+        for mode, axiom_ids in axioms.items():
+            options = {"n": 3, "ranker": NaiveBayesRanker()} if mode == "advised" else {}
+            files = emit_problems(corpus, mode, tmp_path / mode, **options)
+            assert [p.name for p in files] == [f"{corpus.entries[p].name}.p" for p in theorems]
+            for position, path in zip(theorems, files):
+                expected = reference_problem_text(corpus, position, axiom_ids(position))
+                assert path.read_bytes() == expected.encode("utf-8"), (mode, path.name)
+
+    def test_chainy_prints_each_item_once(self, tmp_path, monkeypatch):
+        formulas, deps = rich_corpus_text(n_items=30, seed=3, n_topics=3, feats_per_topic=6)
+        f, d = write_corpus(tmp_path, formulas, deps)
+        corpus = load_corpus([f], d)
+        calls = []
+        # the module-level name, which the benchmark tracer also wraps
+        monkeypatch.setattr(evaluate, "print_item",
+                            lambda item: calls.append(item.name) or print_item(item))
+        files = emit_problems(corpus, "chainy", tmp_path / "chainy")
+        last = max(select_conjectures(corpus, None, ("theorem",)))
+        # chainy lists every item before the last conjecture as an axiom
+        assert len(files) < len(calls) <= last + len(files)
 
     def test_unknown_mode_rejected(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE, "")

@@ -1,7 +1,9 @@
 """Greedy and chunked dependency minimization against synthetic oracles."""
 
 import itertools
+import os
 import random
+import signal
 import sys
 import time
 
@@ -188,3 +190,22 @@ class TestOracles:
         verdict = SubprocessOracle(["sleep", "30"], timeout=0.2)(("a",))
         assert verdict is TIMEOUT and not verdict
         assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize("timeout", [None, 5.0])
+    def test_a_background_child_does_not_hold_the_probe(self, tmp_path, timeout):
+        # The oracle says "sufficient" and exits, leaving a child that
+        # inherits its standard output; the verdict is the exit status.
+        pid_file = tmp_path / "child.pid"
+        script = f"cat >/dev/null; sleep 10 & echo $! > '{pid_file}'; exit 0"
+        started = time.monotonic()
+        try:
+            verdict = SubprocessOracle(["sh", "-c", script], timeout=timeout)(("a", "b"))
+            elapsed = time.monotonic() - started
+        finally:
+            if pid_file.exists():
+                try:
+                    os.kill(int(pid_file.read_text()), signal.SIGTERM)
+                except (ProcessLookupError, ValueError):
+                    pass
+        assert verdict is True
+        assert elapsed < 4
