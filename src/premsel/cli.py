@@ -9,7 +9,6 @@ to reproduce the run byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import shlex
@@ -30,9 +29,10 @@ from .evaluate import (
     emit_problems,
     report_csv,
     run_incremental,
+    write_csv,
 )
 from .fol import ROLES
-from .kernel import GridSearchConfig, write_loss_table
+from .kernel import GridSearchConfig
 from .minimize import SubprocessOracle, batch_minimize, greedy_minimize, write_trace_csv
 
 EXIT_CONFIG = 2
@@ -197,12 +197,17 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "advice.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["rank", "premise_id", "score"])
-            for i, (pid, score) in enumerate(zip(advice.premise_ids[:n], advice.scores[:n])):
-                writer.writerow([i, pid, repr(score)])
+        top = zip(advice.premise_ids[:n], advice.scores[:n])
+        write_csv(out / "advice.csv", ["rank", "premise_id", "score"],
+                  ([i, pid, repr(score)] for i, (pid, score) in enumerate(top)))
         _write_metadata(out_dir, "rank")
+
+
+def write_loss_table(table, path) -> None:
+    """Emit the grid-search loss table as CSV (lambda, sigma, loss)."""
+    write_csv(path, ["lambda", "sigma", "validation_loss"],
+              ([repr(lam), "" if sigma is None else repr(sigma), repr(loss)]
+               for lam, sigma, loss in table))
 
 
 @cli.command("eval")
@@ -288,14 +293,27 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
     """Reduce a dependency set to a 1-minimal sufficient subset."""
     if oracle_timeout is not None and not 0 < oracle_timeout < math.inf:
         raise ConfigError("--oracle-timeout must be finite and positive")
+    try:
+        command = shlex.split(oracle_cmd)
+    except ValueError as exc:
+        raise ConfigError(f"--oracle-cmd cannot be split into words: {exc}") from None
+    if not command:
+        raise ConfigError("--oracle-cmd names no command")
     if (ids is None) == (ids_file is None):
         raise ConfigError("give exactly one of --ids or --ids-file")
     if ids is not None:
+        try:
+            ids.encode("utf-8")  # undecodable argument bytes arrive as lone surrogates
+        except UnicodeEncodeError:
+            raise ConfigError("--ids is not UTF-8 text") from None
         candidates = list(_parse_names(ids))
     else:
         _check_paths([ids_file])
-        with open(ids_file, encoding="utf-8") as handle:
-            candidates = [line.strip() for line in handle if line.strip()]
+        try:
+            with open(ids_file, encoding="utf-8") as handle:
+                candidates = [line.strip() for line in handle if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{ids_file}: {exc}") from None
     if not candidates:
         raise ConfigError("candidate id list is empty")
     repeated = [c for c, count in Counter(candidates).items() if count > 1]
@@ -304,7 +322,7 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
     sizes = _parse_ints(schedule, "--schedule") if schedule is not None else None
     if sizes is not None and not batch:
         raise ConfigError("--schedule requires --batch")
-    oracle = SubprocessOracle(shlex.split(oracle_cmd), timeout=oracle_timeout)
+    oracle = SubprocessOracle(command, timeout=oracle_timeout)
     if batch:
         result = batch_minimize(candidates, oracle, sizes)
     else:

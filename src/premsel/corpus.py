@@ -175,9 +175,7 @@ def load_corpus(formula_paths, dependency_path) -> Corpus:
         try:
             with open(path, encoding="utf-8") as handle:
                 parsed = parse_items(handle.read())
-        except OSError as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
-        except FofSyntaxError as exc:
+        except (OSError, UnicodeDecodeError, FofSyntaxError) as exc:
             raise CorpusError(f"{path}: {exc}") from exc
         for item in parsed:
             if item.name in seen:
@@ -188,7 +186,7 @@ def load_corpus(formula_paths, dependency_path) -> Corpus:
     try:
         with open(dependency_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{dependency_path}: {exc}") from exc
     deps = parse_dependency_lines(text, position)
     entries = [

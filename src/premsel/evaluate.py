@@ -230,9 +230,11 @@ def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",)):
         yield advice
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return math.fsum(values) / len(values)
+def _averages(outcomes, n_values) -> dict[int, float]:
+    """Mean recall@n over ``outcomes`` for each n; empty when there are none."""
+    if not outcomes:
+        return {}
+    return {n: math.fsum(o.recalls[n] for o in outcomes) / len(outcomes) for n in n_values}
 
 
 def _segment_sizes(count: int) -> list[int]:
@@ -281,18 +283,16 @@ def run_incremental(
             outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}
 
     evaluated = [o for o in outcomes if o.recalls is not None]
-    averages = {n: _mean(o.recalls[n] for o in evaluated) for n in n_values} if evaluated else {}
     segments = []
     start = 0
     for index, size in enumerate(_segment_sizes(len(evaluated))):
         chunk = evaluated[start : start + size]
         start += size
-        seg_avg = {n: _mean(o.recalls[n] for o in chunk) for n in n_values} if chunk else {}
-        segments.append(SegmentSummary(index, len(chunk), seg_avg))
+        segments.append(SegmentSummary(index, len(chunk), _averages(chunk, n_values)))
     return RecallReport(
         n_values=n_values,
         outcomes=tuple(outcomes),
-        averages=averages,
+        averages=_averages(evaluated, n_values),
         segments=tuple(segments),
         evaluated_count=len(evaluated),
         skipped_empty=sum(1 for o in outcomes if o.recalls is None and o.error is None),
@@ -315,6 +315,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows`` as UTF-8 CSV, ``\\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def report_csv(report: RecallReport, out_dir) -> dict[str, Path]:
     """Write conjectures.csv, average.csv, and segments.csv into out_dir."""
     out = Path(out_dir)
@@ -325,34 +333,19 @@ def report_csv(report: RecallReport, out_dir) -> dict[str, Path]:
         "segments": out / "segments.csv",
     }
     recall_cols = [f"recall@{n}" for n in report.n_values]
-    with open(paths["conjectures"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["conjecture_id", "position", "pool_size", "used_count", "fallback", "error"]
-            + recall_cols
-        )
-        for o in report.outcomes:
-            recalls = [
-                _fmt(o.recalls[n]) if o.recalls is not None else "" for n in report.n_values
-            ]
-            writer.writerow(
-                [o.conjecture_id, o.position, o.pool_size, o.used_count, _fmt(o.fallback),
-                 o.error or ""]
-                + recalls
-            )
-    with open(paths["average"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "average_recall"])
-        for n in report.n_values:
-            if report.averages:
-                writer.writerow([n, _fmt(report.averages[n])])
-    with open(paths["segments"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["segment", "count"] + recall_cols)
-        for seg in report.segments:
-            row = [seg.index, seg.count]
-            row += [_fmt(seg.averages[n]) if seg.averages else "" for n in report.n_values]
-            writer.writerow(row)
+    write_csv(paths["conjectures"],
+              ["conjecture_id", "position", "pool_size", "used_count", "fallback", "error"]
+              + recall_cols,
+              ([o.conjecture_id, o.position, o.pool_size, o.used_count, _fmt(o.fallback),
+                o.error or ""]
+               + [_fmt(o.recalls[n]) if o.recalls is not None else "" for n in report.n_values]
+               for o in report.outcomes))
+    write_csv(paths["average"], ["n", "average_recall"],
+              ([n, _fmt(report.averages[n])] for n in report.n_values if report.averages))
+    write_csv(paths["segments"], ["segment", "count"] + recall_cols,
+              ([seg.index, seg.count]
+               + [_fmt(seg.averages[n]) if seg.averages else "" for n in report.n_values]
+               for seg in report.segments))
     return paths
 
 
@@ -432,18 +425,16 @@ def emit_problems(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     axiom_texts: dict[int, str] = {}
-    if mode == "advised":
-        for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles)):
-            if isinstance(advice, PremselError):
-                raise advice
-            written.append(_write_problem(corpus, position, advice.premise_ids[:n], out,
-                                          axiom_texts))
-        return written
+    advice = advise_each(corpus, ranker, positions, row_roles) if mode == "advised" else None
     for position in positions:
-        entry = corpus.entries[position]
         if mode == "bushy":
-            axiom_ids = sorted(entry.dependencies, key=corpus.position_of)
-        else:
+            axiom_ids = sorted(corpus.entries[position].dependencies, key=corpus.position_of)
+        elif mode == "chainy":
             axiom_ids = [e.name for e in corpus.entries[:position]]
+        else:
+            step = next(advice)
+            if isinstance(step, PremselError):
+                raise step
+            axiom_ids = step.premise_ids[:n]
         written.append(_write_problem(corpus, position, axiom_ids, out, axiom_texts))
     return written

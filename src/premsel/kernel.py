@@ -22,6 +22,8 @@ Cholesky factor ``L`` of ``K + lam*I`` and appends one row at a time,
 one triangular solve per row, so a step of a chronological walk costs
 O(n^2) instead of a fresh O(n^3) factorization.
 :func:`ridge_train` and :func:`ridge_score` stay the primal reference.
+:func:`ridge_solve` and :meth:`RidgeFactor.score` share one residual
+check, :func:`_checked_solve`.
 
 scipy is imported by the functions that use it, so naive Bayes and
 problem emission never load it.
@@ -137,16 +139,24 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         factor = scipy.linalg.cho_factor(M)
     except scipy.linalg.LinAlgError as exc:
         raise TrainingError(f"kernel matrix factorization failed: {exc}") from exc
-    A = scipy.linalg.cho_solve(factor, Y)
-    residual = M @ A - Y
-    bound = np.abs(residual).max(initial=0.0)
+    return _checked_solve(lambda rhs: scipy.linalg.cho_solve(factor, rhs), lambda A: M @ A, Y)
+
+
+def _checked_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
+    """``solve(rhs)``, checked against ``RESIDUAL_BOUND``: ``apply``
+    multiplies by the matrix that ``solve`` inverts, and a solution whose
+    residual ``apply(x) - rhs`` exceeds the bound in any entry gets one
+    refinement step ``x - solve(residual)``, after which a residual still
+    above the bound is a :class:`TrainingError`."""
+    x = solve(rhs)
+    residual = apply(x) - rhs
     # written so that a NaN residual fails
-    if not bound <= RESIDUAL_BOUND:
-        A = A - scipy.linalg.cho_solve(factor, residual)
-        bound = np.abs(M @ A - Y).max(initial=0.0)
+    if not np.abs(residual).max(initial=0.0) <= RESIDUAL_BOUND:
+        x = x - solve(residual)
+        bound = np.abs(apply(x) - rhs).max(initial=0.0)
         if not bound <= RESIDUAL_BOUND:
             raise TrainingError(f"solve residual {bound:.3e} exceeds {RESIDUAL_BOUND:.0e}")
-    return A
+    return x
 
 
 def _check_lambda(lam: float) -> None:
@@ -247,7 +257,7 @@ class RidgeFactor:
 
     def score(self, pool: int, features: FeatureVector) -> np.ndarray:
         """Scores of premises ``0 … pool-1``: ``Y^T alpha`` with
-        ``alpha = (K + lam*I)^-1 k``, checked against ``RESIDUAL_BOUND``
+        ``alpha = (K + lam*I)^-1 k``, checked by :func:`_checked_solve`
         as :func:`ridge_solve` checks its solves."""
         import scipy.linalg.blas
 
@@ -257,18 +267,10 @@ class RidgeFactor:
         k = self._kernel_row(features, n)
         packed = self._K[: n * (n + 1) // 2]
 
-        def residual(alpha):
-            return scipy.linalg.blas.dspmv(n, 1.0, packed, alpha) + self.lam * alpha - k
+        def apply(alpha):
+            return scipy.linalg.blas.dspmv(n, 1.0, packed, alpha) + self.lam * alpha
 
-        alpha = self._solve(k)
-        r = residual(alpha)
-        bound = np.abs(r).max()
-        # written so that a NaN residual fails
-        if not bound <= RESIDUAL_BOUND:
-            alpha = alpha - self._solve(r)
-            bound = np.abs(residual(alpha)).max()
-            if not bound <= RESIDUAL_BOUND:
-                raise TrainingError(f"solve residual {bound:.3e} exceeds {RESIDUAL_BOUND:.0e}")
+        alpha = _checked_solve(self._solve, apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)
         # an empty weight list makes bincount return integers
@@ -368,6 +370,8 @@ class GridSearchConfig:
                 raise ConfigError(f"{name} grid repeats the value {min(repeated)!r}")
         if not 0 < self.split < 1:
             raise ConfigError(f"split fraction must lie in (0, 1), got {self.split}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -382,8 +386,9 @@ def _ridge_columns(K_tt: np.ndarray, K_tv: np.ndarray, lams) -> np.ndarray:
     """``(K_tt + lam*I)^-1 K_tv`` for every ``lam`` of ``lams`` at once, as
     an ``(n_t, len(lams), n_v)`` array, from one eigendecomposition of
     ``K_tt``.  Each lambda's block is checked against ``RESIDUAL_BOUND``
-    as :func:`ridge_solve` checks its solves, and a failing block gets
-    one refinement step through the same eigenbasis."""
+    as :func:`_checked_solve` checks a solve, and a failing block gets
+    one refinement step through the same eigenbasis.  The check is its
+    own here because it selects and refines blocks, not whole solves."""
     n_t, n_v = K_tv.shape
     w, Q = np.linalg.eigh(K_tt)
 
@@ -472,13 +477,3 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     assert best is not None
     return GridSearchResult(*best, table)
 
-
-def write_loss_table(table, path) -> None:
-    """Emit the grid-search loss table as CSV (lambda, sigma, loss)."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["lambda", "sigma", "validation_loss"])
-        for lam, sigma, loss in table:
-            writer.writerow([repr(lam), "" if sigma is None else repr(sigma), repr(loss)])

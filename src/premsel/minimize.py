@@ -1,15 +1,17 @@
 """Greedy reduction of dependency sets against a black-box sufficiency
 oracle.
 
-``greedy_minimize`` makes one pass over the candidates, dropping every
-element whose removal keeps the oracle satisfied.  For monotone oracles
-(sufficiency preserved under supersets, the usual case for real
-verifiers) the result is 1-minimal: no single remaining element can be
-removed.  For non-monotone oracles the outcome is order-dependent and
-the per-probe guarantees are those of the pass itself.
-``batch_minimize`` first tries to discard whole contiguous chunks with
-halving sizes, which probes far fewer times when only a few elements
-are needed, then finishes with the element-wise pass.
+Both minimizers run the same removal passes: a pass of chunk size ``s``
+cuts the remaining candidates into contiguous chunks of ``s`` and tries
+to drop each chunk in turn, keeping the drop whenever the oracle stays
+satisfied.  ``greedy_minimize`` is the single size-1 pass, one probe
+per element.  For monotone oracles (sufficiency preserved under
+supersets, the usual case for real verifiers) its result is 1-minimal:
+no single remaining element can be removed.  For non-monotone oracles
+the outcome is order-dependent and the per-probe guarantees are those
+of the pass itself.  ``batch_minimize`` first runs passes of halving
+chunk sizes, which probes far fewer times when only a few elements are
+needed, then finishes with the size-1 pass.
 """
 
 from __future__ import annotations
@@ -124,19 +126,31 @@ def _check_start(ids: list[str], oracle: CountingOracle) -> None:
         raise InsufficientStartError("the starting set does not satisfy the oracle")
 
 
-def _single_pass(current: list[str], candidates, oracle, trace) -> list[str]:
-    for element in candidates:
-        attempt = [x for x in current if x != element]
-        ok = oracle(tuple(attempt))
-        trace.append(ProbeRecord((element,), ok))
-        if ok:
-            current = attempt
-    return current
+def _passes(ids: list[str], oracle, sizes, reverse: bool = False) -> MinimizationResult:
+    """Check the starting set, then run one removal pass per chunk size
+    of ``sizes``; ``reverse`` tries each pass's chunks last to first."""
+    oracle = _as_counting(oracle)
+    before = oracle.calls
+    _check_start(ids, oracle)
+    trace: list[ProbeRecord] = []
+    current = list(ids)
+    for size in sizes:
+        chunks = [current[lo : lo + size] for lo in range(0, len(current), size)]
+        if reverse:
+            chunks.reverse()
+        for chunk in chunks:  # disjoint, so each is still whole in current when tried
+            chunk_set = set(chunk)
+            attempt = [x for x in current if x not in chunk_set]
+            ok = oracle(tuple(attempt))
+            trace.append(ProbeRecord(tuple(chunk), ok))
+            if ok:
+                current = attempt
+    return MinimizationResult(tuple(current), oracle.calls - before, tuple(trace))
 
 
 def greedy_minimize(start: Sequence[str], oracle, order: str = "given") -> MinimizationResult:
     """Remove candidates one at a time, keeping each element iff its
-    removal flips the oracle to insufficient.
+    removal flips the oracle to insufficient: the size-1 pass alone.
 
     ``order`` is ``given`` (sequence order of ``start``) or ``reverse``;
     with chronologically ordered input the latter tries the newest
@@ -144,14 +158,7 @@ def greedy_minimize(start: Sequence[str], oracle, order: str = "given") -> Minim
     """
     if order not in ("given", "reverse"):
         raise ValueError(f"order must be 'given' or 'reverse', got {order!r}")
-    ids = list(start)
-    oracle = _as_counting(oracle)
-    before = oracle.calls
-    _check_start(ids, oracle)
-    trace: list[ProbeRecord] = []
-    candidates = list(reversed(ids)) if order == "reverse" else list(ids)
-    current = _single_pass(list(ids), candidates, oracle, trace)
-    return MinimizationResult(tuple(current), oracle.calls - before, tuple(trace))
+    return _passes(list(start), oracle, [1], reverse=order == "reverse")
 
 
 def batch_minimize(start: Sequence[str], oracle, schedule: Sequence[int] | None = None) -> MinimizationResult:
@@ -177,27 +184,7 @@ def batch_minimize(start: Sequence[str], oracle, schedule: Sequence[int] | None 
             raise ValueError("chunk sizes must be positive")
         if not sizes or sizes[-1] != 1:
             sizes.append(1)
-    oracle = _as_counting(oracle)
-    before = oracle.calls
-    _check_start(ids, oracle)
-    trace: list[ProbeRecord] = []
-    current = list(ids)
-    for size in sizes:
-        if size == 1:
-            current = _single_pass(current, list(current), oracle, trace)
-            continue
-        snapshot = list(current)
-        for lo in range(0, len(snapshot), size):
-            chunk = snapshot[lo : lo + size]
-            chunk_set = set(chunk)
-            attempt = [x for x in current if x not in chunk_set]
-            if len(attempt) == len(current):
-                continue
-            ok = oracle(tuple(attempt))
-            trace.append(ProbeRecord(tuple(chunk), ok))
-            if ok:
-                current = attempt
-    return MinimizationResult(tuple(current), oracle.calls - before, tuple(trace))
+    return _passes(ids, oracle, sizes)
 
 
 def write_trace_csv(result: MinimizationResult, path) -> None:

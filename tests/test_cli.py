@@ -172,6 +172,8 @@ class TestEval:
         ["--ranker", "mor", "--sigma-grid", "inf"],
         ["--smoothing", "inf"],
         ["--smoothing", "nan"],
+        ["--ranker", "mor", "--seed", "-1"],
+        ["--ranker", "nb", "--seed", "-1"],
     ])
     def test_non_finite_hyperparameter_is_a_config_error(self, tmp_path, flags):
         out = tmp_path / "report"
@@ -236,6 +238,20 @@ class TestEval:
         result = run_cli("eval", "--formulas", bad, "--deps", TOY / "deps.txt",
                          "--out-dir", tmp_path / "x")
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("bad", ["formulas", "deps"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, bad):
+        paths = {"formulas": TOY / "formulas.p", "deps": TOY / "deps.txt"}
+        broken = tmp_path / "broken"
+        broken.write_bytes(paths[bad].read_bytes() + b"\xff\n")
+        paths[bad] = broken
+        out = tmp_path / "report"
+        result = run_cli("eval", "--formulas", paths["formulas"], "--deps", paths["deps"],
+                         "--out-dir", out)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"parse error: {broken}: 'utf-8' codec can't decode byte 0xff" in result.stderr
+        assert not out.exists()
 
     def test_metadata_echoes_configuration(self, tmp_path):
         out = tmp_path / "report"
@@ -437,6 +453,25 @@ class TestMinimize:
                          "--oracle-timeout", "0.2")
         assert result.returncode == 4
         assert "timed out" in result.stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--oracle-cmd", "", "--ids", "a"], "--oracle-cmd names no command"),
+        (["--oracle-cmd", " \t", "--ids", "a"], "--oracle-cmd names no command"),
+        (["--oracle-cmd", "sh '", "--ids", "a"], "--oracle-cmd cannot be split into words"),
+        (["--oracle-cmd", "true", "--ids-file", "{ids}"], "'utf-8' codec can't decode byte 0xff"),
+        # the byte 0xff reaches the command line as this surrogate
+        (["--oracle-cmd", "true", "--ids", "a,b\udcff"], "--ids is not UTF-8 text"),
+    ], ids=["empty", "blank", "unclosed-quote", "ids-file-not-utf8", "ids-not-utf8"])
+    def test_malformed_oracle_or_ids_is_a_config_error(self, tmp_path, flags, message):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_bytes(b"a\n\xff\n")
+        out = tmp_path / "out"
+        result = run_cli("minimize", *[f.format(ids=ids_file) for f in flags], "--out-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "configuration error: " in result.stderr
+        assert message in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan"])
     def test_oracle_timeout_must_be_finite_and_positive(self, tmp_path, timeout):

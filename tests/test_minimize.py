@@ -6,12 +6,15 @@ import random
 import signal
 import sys
 import time
+import zlib
 
 import pytest
 
 from premsel.minimize import (
     CountingOracle,
     InsufficientStartError,
+    MinimizationResult,
+    ProbeRecord,
     TIMEOUT,
     SubprocessOracle,
     batch_minimize,
@@ -152,6 +155,90 @@ class TestBatch:
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             batch_minimize(["a"], set_oracle(lambda s: True), schedule=[0])
+
+
+def _reference_single_pass(current, candidates, oracle, trace):
+    for element in candidates:
+        attempt = [x for x in current if x != element]
+        ok = oracle(tuple(attempt))
+        trace.append(ProbeRecord((element,), ok))
+        if ok:
+            current = attempt
+    return current
+
+
+def reference_minimize(start, predicate, sizes, order="given"):
+    """The element-wise pass and the chunked passes as separate loops:
+    the reference the shared pass loop is checked against.  ``sizes``
+    ends in 1; ``order`` sets the element-wise pass's order."""
+    oracle = CountingOracle(predicate)
+    assert oracle(tuple(start))
+    trace = []
+    current = list(start)
+    for size in sizes:
+        if size == 1:
+            candidates = current[::-1] if order == "reverse" else list(current)
+            current = _reference_single_pass(current, candidates, oracle, trace)
+            continue
+        snapshot = list(current)
+        for lo in range(0, len(snapshot), size):
+            chunk = snapshot[lo : lo + size]
+            attempt = [x for x in current if x not in chunk]
+            if len(attempt) == len(current):
+                continue
+            ok = oracle(tuple(attempt))
+            trace.append(ProbeRecord(tuple(chunk), ok))
+            if ok:
+                current = attempt
+    return MinimizationResult(tuple(current), oracle.calls, tuple(trace))
+
+
+def _default_sizes(n):
+    sizes = []
+    size = n // 2
+    while size >= 2:
+        sizes.append(size)
+        size //= 2
+    return sizes + [1]
+
+
+def _random_oracles(rng, universe):
+    """A seeded monotone oracle (any of a few minimal sets suffices) and a
+    seeded non-monotone one (a hash of the set decides, the whole
+    universe always suffices)."""
+    minimal_sets = [frozenset(rng.sample(universe, rng.randint(0, min(4, len(universe)))))
+                    for _ in range(rng.randint(1, 3))]
+    salt = rng.getrandbits(32).to_bytes(4, "little")
+    full = frozenset(universe)
+
+    def monotone(ids):
+        return any(m <= frozenset(ids) for m in minimal_sets)
+
+    def non_monotone(ids):
+        s = frozenset(ids)
+        return s == full or zlib.crc32(salt + ",".join(sorted(s)).encode()) % 3 != 0
+
+    return {"monotone": monotone, "non-monotone": non_monotone}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", ["monotone", "non-monotone"])
+    def test_greedy_and_batch_traces_match_the_reference(self, kind):
+        rng = random.Random(31)
+        for _ in range(60):
+            universe = [f"x{i}" for i in rng.sample(range(40), rng.randint(1, 14))]
+            predicate = _random_oracles(rng, universe)[kind]
+            runs = [
+                (greedy_minimize(universe, predicate), [1], "given"),
+                (greedy_minimize(universe, predicate, order="reverse"), [1], "reverse"),
+                (batch_minimize(universe, predicate), _default_sizes(len(universe)), "given"),
+            ]
+            for _ in range(3):
+                schedule = [rng.randint(1, len(universe) + 1) for _ in range(rng.randint(0, 4))]
+                sizes = schedule if schedule and schedule[-1] == 1 else schedule + [1]
+                runs.append((batch_minimize(universe, predicate, schedule), sizes, "given"))
+            for result, sizes, order in runs:
+                assert result == reference_minimize(universe, predicate, sizes, order)
 
 
 class TestOracles:
