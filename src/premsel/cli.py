@@ -1,10 +1,10 @@
 """Command-line entry point: load, rank, evaluate, emit, minimize.
 
 Exit codes: 0 success, 2 configuration error (bad flags, missing files,
-unknown ids), 3 corpus/formula parse error, 4 runtime error.  Every
-command that writes into an output directory also writes
-``run_metadata.json`` echoing the full configuration and seed, enough
-to reproduce the run byte for byte.
+unknown ids), 3 corpus/formula parse error, 4 runtime error, 130
+interrupted (Ctrl-C).  Every command that writes into an output
+directory also writes ``run_metadata.json`` echoing the full
+configuration and seed, enough to reproduce the run byte for byte.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .minimize import SubprocessOracle, batch_minimize, greedy_minimize, write_t
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_RUNTIME = 4
+EXIT_INTERRUPTED = 130
 
 DEFAULT_N_SET = "1,2,3,4,5,6,7,8,9,10,20,30,40,50,60,70,80,90,100"
 
@@ -281,7 +282,7 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
 @click.option("--ids", default=None, help="Comma-separated candidate ids.")
 @click.option("--ids-file", default=None, help="File with one candidate id per line.")
 @click.option("--order", type=click.Choice(["given", "reverse"]), default="given",
-              show_default=True)
+              show_default=True, help="Order of the greedy pass; not with --batch.")
 @click.option("--batch", is_flag=True, help="Chunked passes before the element-wise pass.")
 @click.option("--schedule", default=None, help="Comma-separated chunk sizes for --batch.")
 @click.option("--trace-csv", default=None, help="Write the removal trace here.")
@@ -322,6 +323,8 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
     sizes = _parse_ints(schedule, "--schedule") if schedule is not None else None
     if sizes is not None and not batch:
         raise ConfigError("--schedule requires --batch")
+    if batch and order == "reverse":
+        raise ConfigError("--order reverse applies to the greedy pass only, not to --batch")
     oracle = SubprocessOracle(command, timeout=oracle_timeout)
     if batch:
         result = batch_minimize(candidates, oracle, sizes)
@@ -341,6 +344,9 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
+    except click.exceptions.Abort:  # click's form of KeyboardInterrupt
+        click.echo("aborted", err=True)
+        sys.exit(EXIT_INTERRUPTED)
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_CONFIG)

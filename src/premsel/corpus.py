@@ -13,6 +13,7 @@ restricted to what was known before it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CorpusError, FofSyntaxError
@@ -71,6 +72,7 @@ class Corpus:
         self.entries: tuple[CorpusEntry, ...] = tuple(entries)
         self._position: dict[str, int] = {e.name: e.position for e in self.entries}
         self._names = tuple(e.name for e in self.entries)
+        self._trainable: dict[frozenset[str], tuple[tuple[TrainingRow, ...], list[int]]] = {}
         self.ensure_featurized()
 
     def __len__(self) -> int:
@@ -120,17 +122,25 @@ class Corpus:
         """
         if not 0 <= position < len(self.entries):
             raise IndexError(f"position {position} out of range")
-        roles = set(row_roles)
+        rows, positions = self._trainable_rows(frozenset(row_roles))
         known = self._known[position]
         return TrainingView(
             premise_ids=self._names[:position],
-            rows=tuple(self.rows[e.position] for e in self.entries[:position] if e.role in roles),
+            rows=rows[:bisect_left(positions, position)],
             conjecture_id=self._names[position],
             conjecture_position=position,
             conjecture_features=FeatureVector(
                 i for i in self.rows[position].features.indices if i < known
             ),
         )
+
+    def _trainable_rows(self, roles: frozenset[str]):
+        """The rows of every entry whose role is in ``roles``, and their
+        positions; built once per role set, so a view is one slice."""
+        if roles not in self._trainable:
+            rows = tuple(self.rows[e.position] for e in self.entries if e.role in roles)
+            self._trainable[roles] = rows, [row.position for row in rows]
+        return self._trainable[roles]
 
 
 def parse_dependency_lines(text: str, position: dict[str, int]) -> dict[str, frozenset[str]]:

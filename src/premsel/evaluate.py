@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .corpus import Corpus, TrainingView
 from .errors import ConfigError, PremselError, TrainingError
 from .fol import ROLES, print_item
@@ -36,6 +35,8 @@ from .naive_bayes import (
     nb_score,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
     nb_train,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
 )
+
+np = lazy_module("numpy")
 
 SEGMENT_COUNT = 4
 

@@ -26,7 +26,8 @@ O(n^2) instead of a fresh O(n^3) factorization.
 check, :func:`_checked_solve`.
 
 scipy is imported by the functions that use it, so naive Bayes and
-problem emission never load it.
+problem emission never load it; numpy runs on first use (see
+``premsel._lazy``).
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .corpus import TrainingView
 from .errors import ConfigError, TrainingError
 from .features import FeatureVector
+
+np = lazy_module("numpy")
 
 # Residual bound checked after every solve, per entry of (K+lam*I)A - Y.
 RESIDUAL_BOUND = 1e-8

@@ -21,11 +21,12 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .corpus import TrainingRow, TrainingView
 from .errors import TrainingError
 from .features import FeatureVector
+
+np = lazy_module("numpy")
 
 _FORMAT = "premsel-nb/1"
 

@@ -243,6 +243,13 @@ def reference_problem_text(corpus, position: int, axiom_ids) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_view_rows(corpus, position: int, row_roles) -> tuple[TrainingRow, ...]:
+    """A view's training rows by filtering every earlier entry by role,
+    the selection that ``Corpus.training_view`` made before it sliced."""
+    roles = set(row_roles)
+    return tuple(corpus.rows[e.position] for e in corpus.entries[:position] if e.role in roles)
+
+
 def write_corpus(tmp_path, formulas_text: str, deps_text: str):
     formulas = tmp_path / "formulas.p"
     deps = tmp_path / "deps.txt"

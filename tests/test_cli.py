@@ -461,7 +461,12 @@ class TestMinimize:
         (["--oracle-cmd", "true", "--ids-file", "{ids}"], "'utf-8' codec can't decode byte 0xff"),
         # the byte 0xff reaches the command line as this surrogate
         (["--oracle-cmd", "true", "--ids", "a,b\udcff"], "--ids is not UTF-8 text"),
-    ], ids=["empty", "blank", "unclosed-quote", "ids-file-not-utf8", "ids-not-utf8"])
+        (["--oracle-cmd", "true", "--ids", "a", "--schedule", "2"],
+         "--schedule requires --batch"),
+        (["--oracle-cmd", "true", "--ids", "a", "--batch", "--order", "reverse"],
+         "--order reverse applies to the greedy pass only"),
+    ], ids=["empty", "blank", "unclosed-quote", "ids-file-not-utf8", "ids-not-utf8",
+            "schedule-without-batch", "batch-reverse"])
     def test_malformed_oracle_or_ids_is_a_config_error(self, tmp_path, flags, message):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_bytes(b"a\n\xff\n")
@@ -472,6 +477,18 @@ class TestMinimize:
         assert "configuration error: " in result.stderr
         assert message in result.stderr
         assert not out.exists()
+
+    def test_interrupt_exits_130_without_a_traceback(self, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "batch_minimize", interrupted)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--oracle-cmd", "true", "--ids", "a,b", "--batch"])
+        assert exit_info.value.code == 130
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "aborted"
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan"])
     def test_oracle_timeout_must_be_finite_and_positive(self, tmp_path, timeout):

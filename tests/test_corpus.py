@@ -1,15 +1,23 @@
 """Corpus loading, proof relation, and training view contracts."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from premsel.corpus import load_corpus, parse_dependency_lines
 from premsel.errors import CorpusError
 from premsel.features import FeatureDictionary, vectorize
-from premsel.fol import parse_items
+from premsel.fol import ROLES, parse_items
 
-from helpers import planted_corpus_text, write_corpus
+from helpers import (
+    planted_corpus_text,
+    reference_view_rows,
+    rich_corpus_text,
+    write_corpus,
+)
+
+TOY = Path(__file__).resolve().parent.parent / "data" / "toy"
 
 THREE = """\
 fof(t1, axiom, p(a)).
@@ -171,6 +179,23 @@ class TestTrainingView:
                 assert later.rows[k] is row
                 assert corpus.rows[row.position] is row
         assert views[-1].rows
+
+    @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
+    @pytest.mark.parametrize("source", ["toy", "planted", "rich"])
+    def test_sliced_rows_are_the_role_filter(self, tmp_path, source, row_roles):
+        # the benchmark corpora's generator settings, at a smaller size
+        bench = {"n_topics": 20, "feats_per_topic": 12, "feats_per_item": 4, "max_deps": 6}
+        if source == "toy":
+            corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt")
+        else:
+            make = planted_corpus_text if source == "planted" else rich_corpus_text
+            corpus = _load(tmp_path, *make(n_items=120, seed=3, **bench))
+        assert len({e.role for e in corpus.entries}) > 1
+        for i in range(len(corpus)):
+            rows = corpus.training_view(i, row_roles).rows
+            reference = reference_view_rows(corpus, i, row_roles)
+            assert len(rows) == len(reference)
+            assert all(row is ref for row, ref in zip(rows, reference))
 
     def test_entries_are_frozen(self, tmp_path):
         entry = _load(tmp_path).entries[0]
