@@ -68,7 +68,7 @@ def rank_advice(conjecture_id, premise_ids, scores) -> RankedAdvice:
     order = np.argsort(-s, kind="stable")
     return RankedAdvice(
         conjecture_id,
-        tuple(premise_ids[j] for j in order.tolist()),
+        tuple(np.array(premise_ids, dtype=object)[order].tolist()),
         tuple(s[order].tolist()),
     )
 
@@ -127,7 +127,11 @@ class KernelRidgeRanker:
     point: a view appends only its new rows while that point stays the
     same, and restarts the factor when it changes.  The factor appends
     rows one at a time either way, so advice is a function of the view
-    alone.
+    alone.  In a walk a theorem is scored as a conjecture one step
+    before its row is appended, so the append mostly reuses the score's
+    forward solve; it cannot when the conjecture's features, cut to
+    those seen before it, differ from the row's.  Search and factor run
+    on numpy alone; no step imports scipy.
     """
 
     def __init__(self, kernel_kind: str = "gaussian",

@@ -25,8 +25,10 @@ O(n^2) instead of a fresh O(n^3) factorization.
 :func:`ridge_solve` and :meth:`RidgeFactor.score` share one residual
 check, :func:`_checked_solve`.
 
-scipy is imported by the functions that use it, so naive Bayes and
-problem emission never load it; numpy runs on first use (see
+Everything the commands run is numpy alone: Gram matrices are exact
+counts from feature posting lists, and :class:`RidgeFactor` solves with
+matrix-vector products.  Only :func:`ridge_solve`, the primal reference,
+imports scipy, inside the function.  numpy runs on first use (see
 ``premsel._lazy``).
 """
 
@@ -49,6 +51,9 @@ RESIDUAL_BOUND = 1e-8
 # Logarithmic default grids; the sigma defaults square to 2^-3 .. 2^9.
 LAMBDA_GRID_DEFAULT = tuple(2.0**e for e in range(-7, 8, 2))
 SIGMA_GRID_DEFAULT = tuple(math.sqrt(2.0**e) for e in range(-3, 10, 2))
+
+# Rows per block of RidgeFactor's panels.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -73,27 +78,24 @@ def kernel_eval(spec: KernelSpec, a: FeatureVector, b: FeatureVector) -> float:
     return math.exp(-(len(a) - 2 * ab + len(b)) / (spec.sigma**2))
 
 
-def _feature_csr(vectors, width: int):
-    import scipy.sparse
-
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + len(v.indices)
-    indices = np.fromiter(
-        (i for v in vectors for i in v.indices), dtype=np.int64, count=int(indptr[-1])
-    )
-    data = np.ones(int(indptr[-1]))
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), width))
+def _counts(postings: dict[int, array], features: FeatureVector, n: int) -> np.ndarray:
+    """``<features, v_j>`` for the first ``n`` vectors ``v_j`` of
+    ``postings``, which lists by feature the positions of the vectors
+    holding it: exact integer counts, as one ``bincount`` of the hits."""
+    hits = [postings[f] for f in features.indices if f in postings]
+    return np.bincount(np.frombuffer(b"".join(hits), dtype=np.intc), minlength=n)
 
 
 def _gram(rows, cols) -> np.ndarray:
     """Pairwise dot products; exact in float64 since entries are 0/1 counts."""
-    width = 1 + max(
-        (max(v.indices) for v in (*rows, *cols) if v.indices), default=0
-    )
-    a = _feature_csr(rows, width)
-    b = _feature_csr(cols, width)
-    return (a @ b.T).toarray()
+    postings: dict[int, array] = {}
+    for j, v in enumerate(cols):
+        for f in v.indices:
+            postings.setdefault(f, array("i")).append(j)
+    gram = np.empty((len(rows), len(cols)))
+    for r, v in enumerate(rows):
+        gram[r] = _counts(postings, v, len(cols))
+    return gram
 
 
 def _kernelize(spec: KernelSpec, gram: np.ndarray, row_sizes, col_sizes) -> np.ndarray:
@@ -166,6 +168,20 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError("regularization parameter must be finite and positive")
 
 
+def _scaled(op, v: np.ndarray) -> np.ndarray:
+    """``op(v)`` for a linear ``op``, computed on ``v`` scaled by the power
+    of two that brings its largest entry into [0.5, 1), then scaled back.
+
+    At a small sigma most kernel values are tiny, and so are the vectors
+    solved for, so products of the two underflow; BLAS runs many times
+    slower on subnormal results.  Scaled, the products stay clear of them.
+    Scaling by a power of two is exact, so the result is the unscaled
+    computation's wherever that one does not underflow, and more accurate
+    where it does."""
+    e = np.frexp(np.abs(v).max(initial=0.0))[1]  # 0 for a zero, inf or NaN maximum
+    return np.ldexp(op(np.ldexp(v, -e)), e)
+
+
 class RidgeFactor:
     """Kernel matrix ``K`` and Cholesky factor ``L`` of ``K + lam*I`` for
     a row sequence that grows between uses.
@@ -176,12 +192,23 @@ class RidgeFactor:
     time, in row order, also after a restart, so the factor of a row
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
-    up to rounding, with one solve per call.
+    up to rounding, with one solve per call.  When the conjecture just
+    scored is the next row appended, with the same kernel row bit for
+    bit, the append reuses the score's forward solve ``L^-1 k``.
 
-    ``K`` and ``L`` are kept packed, row ``i`` of their lower triangles
-    at offset ``i*(i+1)/2`` of capacity buffers, so the first ``n`` rows
-    are always a contiguous prefix: BLAS reads it in place, as the upper
-    triangle in column-major packed order.
+    Rows are kept in blocks of :data:`BLOCK_ROWS`.  A block's panels are
+    allocated once, when its first row arrives, and filled row by row,
+    so growth never copies old data.  Block ``b`` holds rows ``b*B`` up
+    to ``(b+1)*B``, with ``B = BLOCK_ROWS``, in three panels:
+
+    - its rows of ``K`` up to its last column, the symmetric diagonal
+      block in full;
+    - its rows of ``L`` left of the diagonal block;
+    - the inverse of its diagonal block of ``L``.  Appending a row to a
+      lower triangle appends a row to its inverse.
+
+    Solves and products run block by block, a few matrix-vector products
+    each, on vectors scaled by :func:`_scaled`.
     """
 
     def __init__(self):
@@ -191,8 +218,8 @@ class RidgeFactor:
         self.spec: KernelSpec | None = spec
         self.lam: float | None = lam
         self.rows: tuple = ()
-        self._K = np.empty(0)
-        self._L = np.empty(0)
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
+        self._scored: tuple | None = None   # (k, L^-1 k) of the first solve of the last score
         self._sizes = array("d")            # feature count of each row
         self._rows_by_feature: dict[int, array] = {}
         self._use_rows = array("i")         # row of each (row, used premise) pair
@@ -206,14 +233,9 @@ class RidgeFactor:
         if (spec, lam) != (self.spec, self.lam) or rows[:n] != self.rows:
             self._reset(spec, lam)
             n = 0
-        packed = len(rows) * (len(rows) + 1) // 2
         # an exception part-way, an interrupt too, leaves rows counted that
         # self.rows does not hold, so the state goes back to empty
         try:
-            if packed > len(self._K):  # grow by doubling, not at every step
-                extra = np.empty(max(packed, 2 * len(self._K)) - len(self._K))
-                self._K = np.concatenate([self._K, extra])
-                self._L = np.concatenate([self._L, extra])
             for i in range(n, len(rows)):
                 self._append(i, rows[i])
         except BaseException:
@@ -222,57 +244,97 @@ class RidgeFactor:
         self.rows = rows
 
     def _append(self, i: int, row) -> None:
-        import scipy.linalg.blas
-
         for f in row.features.indices:
             self._rows_by_feature.setdefault(f, array("i")).append(i)
         self._sizes.append(len(row.features))
         k = self._kernel_row(row.features, i + 1)
-        start = i * (i + 1) // 2
-        l = k[:i]
-        if i:  # solve L[:i, :i] l = k[:i]
-            l = scipy.linalg.blas.dtpsv(i, self._L[:start], l, trans=1)
+        scored, self._scored = self._scored, None
+        if scored is not None and scored[0].tobytes() == k[:i].tobytes():
+            l = scored[1]
+        else:
+            l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
         pivot = k[i] + self.lam - l @ l
         if not pivot > 0:
             raise TrainingError(f"kernel matrix factorization failed: pivot {pivot:.3e} "
                                 f"at row {i}")
-        self._K[start : start + i + 1] = k
-        self._L[start : start + i] = l
-        self._L[start + i] = math.sqrt(pivot)
+        b, r = divmod(i, BLOCK_ROWS)
+        lo = i - r
+        if not r:
+            self._blocks.append((np.empty((BLOCK_ROWS, lo + BLOCK_ROWS)),
+                                 np.empty((BLOCK_ROWS, lo)), np.zeros((BLOCK_ROWS, BLOCK_ROWS))))
+        K, L, inv = self._blocks[b]
+        K[r, : i + 1] = k
+        K[:r, i] = k[lo:i]
+        L[r] = l[:lo]
+        # [[A, 0], [a, d]]^-1 = [[A^-1, 0], [-a A^-1 / d, 1/d]]
+        d = math.sqrt(pivot)
+        inv[r, :r] = _scaled(lambda a: a @ inv[:r, :r], l[lo:i]) / -d
+        inv[r, r] = 1.0 / d
         self._use_rows.extend([i] * len(row.used))
         self._use_premises.extend(row.used)
 
     def _kernel_row(self, features: FeatureVector, n: int) -> np.ndarray:
         """Kernel values of ``features`` against the first ``n`` rows."""
-        hits = [self._rows_by_feature[f] for f in features.indices if f in self._rows_by_feature]
-        gram = np.bincount(np.frombuffer(b"".join(hits), dtype=np.intc), minlength=n)
+        gram = _counts(self._rows_by_feature, features, n)
         sizes = np.frombuffer(self._sizes, dtype=float)[:n]
         return _kernelize(self.spec, gram[None, :].astype(float), [len(features)], sizes)[0]
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        import scipy.linalg.blas
+    def _spans(self, n: int):
+        """``(panels, lo, hi)`` for each block holding some of the first ``n`` rows."""
+        for b, panels in enumerate(self._blocks[: -(-n // BLOCK_ROWS)]):
+            lo = b * BLOCK_ROWS
+            yield panels, lo, min(lo + BLOCK_ROWS, n)
 
-        n = len(self.rows)
-        packed = self._L[: n * (n + 1) // 2]
-        y = scipy.linalg.blas.dtpsv(n, packed, rhs, trans=1)  # L y = rhs
-        return scipy.linalg.blas.dtpsv(n, packed, y, overwrite_x=1)  # L^T x = y
+    def _forward(self, rhs: np.ndarray) -> np.ndarray:
+        """``y`` with ``L y = rhs``, for the first ``len(rhs)`` rows."""
+        def solve(v):
+            y = np.empty(len(v))
+            for (_, L, inv), lo, hi in self._spans(len(v)):
+                r = hi - lo
+                y[lo:hi] = inv[:r, :r] @ (v[lo:hi] - L[:r] @ y[:lo])
+            return y
+
+        return _scaled(solve, rhs)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._forward(rhs)
+        if self._scored is None:  # the first solve of a score is of its kernel row
+            self._scored = (rhs, y)
+
+        def solve(v):  # L^T x = v
+            x = v.copy()
+            for (_, L, inv), lo, hi in reversed(list(self._spans(len(x)))):
+                r = hi - lo
+                x[lo:hi] = inv[:r, :r].T @ x[lo:hi]
+                x[:lo] -= L[:r].T @ x[lo:hi]
+            return x
+
+        return _scaled(solve, y)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """``(K + lam*I) x``, each panel of ``K`` read for both of its halves."""
+        def apply(v):
+            out = self.lam * v
+            for (K, _, _), lo, hi in self._spans(len(v)):
+                panel = K[: hi - lo, :hi]
+                out[lo:hi] += panel @ v[:hi]
+                out[:lo] += panel[:, :lo].T @ v[lo:hi]
+            return out
+
+        return _scaled(apply, x)
 
     def score(self, pool: int, features: FeatureVector) -> np.ndarray:
         """Scores of premises ``0 … pool-1``: ``Y^T alpha`` with
         ``alpha = (K + lam*I)^-1 k``, checked by :func:`_checked_solve`
         as :func:`ridge_solve` checks its solves."""
-        import scipy.linalg.blas
-
         n = len(self.rows)
         if not n:
             raise TrainingError("no training rows")
         k = self._kernel_row(features, n)
-        packed = self._K[: n * (n + 1) // 2]
-
-        def apply(alpha):
-            return scipy.linalg.blas.dspmv(n, 1.0, packed, alpha) + self.lam * alpha
-
-        alpha = _checked_solve(self._solve, apply, k)
+        self._scored = None
+        # a non-finite solve is the residual check's to report, not numpy's
+        with np.errstate(invalid="ignore", over="ignore"):
+            alpha = _checked_solve(self._solve, self._apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)
         # an empty weight list makes bincount return integers

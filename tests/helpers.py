@@ -152,6 +152,22 @@ def ridge_fd_gradient(K, Y, lam, A, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def reference_gram(rows, cols) -> np.ndarray:
+    """Pairwise dot products as one ``scipy.sparse`` CSR product, the way
+    ``kernel._gram`` computed them before it counted posting lists."""
+    import scipy.sparse
+
+    width = 1 + max((max(v.indices) for v in (*rows, *cols) if v.indices), default=0)
+
+    def csr(vectors):
+        indptr = np.cumsum([0] + [len(v.indices) for v in vectors])
+        indices = np.array([i for v in vectors for i in v.indices], dtype=np.int64)
+        return scipy.sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                                       shape=(len(vectors), width))
+
+    return (csr(rows) @ csr(cols).T).toarray()
+
+
 def random_vectors(rng: np.random.Generator, count: int, width: int = 12,
                    max_size: int = 6) -> list[FeatureVector]:
     out = []

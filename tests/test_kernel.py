@@ -11,6 +11,7 @@ import pytest
 from premsel.errors import ConfigError, TrainingError
 from premsel.features import FeatureVector
 from premsel.kernel import (
+    BLOCK_ROWS,
     RESIDUAL_BOUND,
     GridSearchConfig,
     KernelSpec,
@@ -23,9 +24,16 @@ from premsel.kernel import (
     ridge_score,
     ridge_solve,
     ridge_train,
+    _gram,
 )
 
-from helpers import random_vectors, ridge_fd_gradient, ridge_objective, view_from_indices
+from helpers import (
+    random_vectors,
+    reference_gram,
+    ridge_fd_gradient,
+    ridge_objective,
+    view_from_indices,
+)
 
 GAUSS = KernelSpec("gaussian", 1.0)
 LINEAR = KernelSpec("linear")
@@ -448,6 +456,29 @@ class TestGridSearchResidual:
             grid_search(view, "gaussian", self.CONFIG)
 
 
+class TestGram:
+    """Posting-list counts against the ``scipy.sparse`` product they replaced."""
+
+    def test_matches_the_sparse_product(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            # rows draw from features 0..29, columns from 0..19 only, and
+            # random_vectors draws empty vectors too
+            rows = random_vectors(rng, int(rng.integers(0, 15)), width=30, max_size=8)
+            cols = random_vectors(rng, int(rng.integers(0, 15)), width=20, max_size=8)
+            gram = _gram(rows, cols)
+            assert gram.dtype == float and gram.shape == (len(rows), len(cols))
+            np.testing.assert_array_equal(gram, reference_gram(rows, cols))
+
+    def test_empty_vectors_and_features_no_column_has(self):
+        rows = [FeatureVector([]), FeatureVector([7, 8]), FeatureVector([1, 7])]
+        cols = [FeatureVector([1, 2]), FeatureVector([]), FeatureVector([1])]
+        np.testing.assert_array_equal(_gram(rows, cols), [[0, 0, 0], [0, 0, 0], [1, 0, 1]])
+        np.testing.assert_array_equal(_gram(rows, cols), reference_gram(rows, cols))
+        assert _gram(rows, []).shape == (3, 0)
+        assert _gram([], cols).shape == (0, 3)
+
+
 class TestCrossKernel:
     def test_matches_pairwise_eval(self):
         rng = np.random.default_rng(9)
@@ -567,3 +598,66 @@ class TestRidgeFactor:
         monkeypatch.setattr(RidgeFactor, "_solve", lambda self, rhs: solve(self, rhs) + wrong)
         with pytest.raises(TrainingError, match=f"exceeds {RESIDUAL_BOUND:.0e}"):
             _dual_scores(view, GAUSS, 0.5)
+
+
+class TestRidgeFactorBlocks:
+    """Walks of a few hundred rows, past two boundaries of the factor's
+    row blocks, scored the way ``eval`` scores them: each step scores the
+    row it appends next, so most appends reuse that score's forward
+    solve."""
+
+    N = 2 * BLOCK_ROWS + 60
+    CHECKPOINTS = (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 70,
+                   2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, N)
+
+    @pytest.mark.parametrize("spec, lam", [(GAUSS, 2.0**-7), (LINEAR, 1.0)],
+                             ids=["gauss1", "linear"])
+    def test_hundreds_of_rows_match_the_reference(self, spec, lam):
+        view = _random_view(np.random.default_rng(19), self.N, pool=8)
+        factor = RidgeFactor()
+        for n in range(1, self.N + 1):
+            prefix = dataclasses.replace(view, rows=view.rows[:n])
+            if n in self.CHECKPOINTS:
+                scores = _dual_scores(prefix, spec, lam, factor)
+                reference = ridge_score(ridge_train(prefix, spec, lam), view.conjecture_features)
+                assert np.abs(scores - reference).max() <= 1e-9 * max(np.abs(reference).max(), 1)
+            factor.sync(prefix.rows, spec, lam)
+            if n < self.N:
+                factor.score(8, view.rows[n].features)
+
+    def test_a_walk_with_scores_and_a_restart_gives_the_bits_of_one_sync(self):
+        view = _random_view(np.random.default_rng(20), self.N)
+        restart = BLOCK_ROWS + BLOCK_ROWS // 2  # in the middle of the second block
+        walked = RidgeFactor()
+        for n in range(1, self.N + 1):
+            if n == restart:
+                walked.sync(view.rows[:n], GAUSS, 2.0)  # another lambda: both syncs restart
+            walked.sync(view.rows[:n], GAUSS, 0.5)
+            if n in self.CHECKPOINTS:
+                fresh = RidgeFactor()
+                fresh.sync(view.rows[:n], GAUSS, 0.5)
+                for features in (view.conjecture_features, view.rows[n - 1].features):
+                    assert ([s.hex() for s in walked.score(6, features)]
+                            == [s.hex() for s in fresh.score(6, features)])
+            if n < self.N:
+                walked.score(6, view.rows[n].features)
+
+    def test_appending_the_row_just_scored_reuses_its_forward_solve(self, monkeypatch):
+        view = _random_view(np.random.default_rng(21), BLOCK_ROWS + 2)
+        n = BLOCK_ROWS
+        factor = RidgeFactor()
+        factor.sync(view.rows[:n], GAUSS, 0.5)
+        solved = []
+        forward = RidgeFactor._forward
+
+        def counted(self, rhs):
+            solved.append(len(rhs))
+            return forward(self, rhs)
+
+        monkeypatch.setattr(RidgeFactor, "_forward", counted)
+        factor.score(6, view.rows[n].features)
+        factor.sync(view.rows[: n + 1], GAUSS, 0.5)  # the scored kernel row: reused
+        # one more feature changes every gaussian kernel value
+        factor.score(6, FeatureVector([*view.rows[n + 1].features, 99]))
+        factor.sync(view.rows[: n + 2], GAUSS, 0.5)  # another kernel row: solved afresh
+        assert solved == [n, n + 1, n + 1]
