@@ -1,10 +1,12 @@
 """Command-line entry point: load, rank, evaluate, emit, minimize.
 
-Exit codes: 0 success, 2 configuration error (bad flags, missing files,
-unknown ids), 3 corpus/formula parse error, 4 runtime error, 130
-interrupted (Ctrl-C).  Every command that writes into an output
-directory also writes ``run_metadata.json`` echoing the full
-configuration and seed, enough to reproduce the run byte for byte.
+Exit codes: 0 success, 1 with no message when stdout closes early
+(``premsel rank ... | head -1``), 2 configuration error (bad flags,
+missing files, unknown ids, an output path that cannot be written),
+3 corpus/formula parse error, 4 runtime error, 130 interrupted
+(Ctrl-C).  Every command that writes into an output directory also
+writes ``run_metadata.json`` echoing the full configuration and seed,
+enough to reproduce the run byte for byte.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ def _check_paths(paths):
     for path in paths:
         if not Path(path).is_file():
             raise ConfigError(f"input file not found: {path}")
+
+
+def _check_out_dir(out_dir) -> None:
+    if out_dir is None:
+        return
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
 
 
 def _load(formula_paths, dep_path):
@@ -177,6 +188,7 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
     """Rank the premises available to one conjecture."""
     if top_n < 1:
         raise ConfigError("-n must be positive")
+    _check_out_dir(out_dir)
     engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
     if conjecture not in corpus:
@@ -229,6 +241,7 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
     ids, roles = _parse_selection(conjectures, conjecture_roles)
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    _check_out_dir(out_dir)
     engine, row_roles = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path)
     report = run_incremental(corpus, engine, n_values=n_values, conjecture_ids=ids,
@@ -261,6 +274,7 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
          **ranker_flags):
     """Emit one problem file per conjecture."""
     ids, roles = _parse_selection(conjectures, conjecture_roles)
+    _check_out_dir(out_dir)
     engine, row_roles = None, ()
     if mode == "advised":
         if top_n is None or top_n < 1:
@@ -325,6 +339,9 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
         raise ConfigError("--schedule requires --batch")
     if batch and order == "reverse":
         raise ConfigError("--order reverse applies to the greedy pass only, not to --batch")
+    if trace_csv is not None and not Path(trace_csv).parent.is_dir():
+        raise ConfigError(f"--trace-csv {trace_csv}: {Path(trace_csv).parent} is not a directory")
+    _check_out_dir(out_dir)
     oracle = SubprocessOracle(command, timeout=oracle_timeout)
     if batch:
         result = batch_minimize(candidates, oracle, sizes)

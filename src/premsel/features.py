@@ -60,11 +60,9 @@ class FeatureDictionary:
 
     __slots__ = ("_keys", "_index")
 
-    def __init__(self, keys=()):
+    def __init__(self):
         self._keys: list[str] = []
         self._index: dict[str, int] = {}
-        for key in keys:
-            self.add(key)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -77,8 +75,6 @@ class FeatureDictionary:
         existing = self._index.get(key)
         if existing is not None:
             return existing
-        if "\n" in key or not key:
-            raise ValueError(f"bad feature key {key!r}")
         index = len(self._keys)
         self._keys.append(key)
         self._index[key] = index
@@ -89,20 +85,6 @@ class FeatureDictionary:
 
     def key_at(self, index: int) -> str:
         return self._keys[index]
-
-    def keys(self) -> tuple[str, ...]:
-        return tuple(self._keys)
-
-    def save(self, path) -> None:
-        """One key per line; line number (from 0) is the index."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for key in self._keys:
-                handle.write(key + "\n")
-
-    @classmethod
-    def load(cls, path) -> "FeatureDictionary":
-        with open(path, encoding="utf-8") as handle:
-            return cls(line.rstrip("\n") for line in handle)
 
 
 class FeatureVector:

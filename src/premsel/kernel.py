@@ -351,37 +351,6 @@ class RidgeModel:
     row_vectors: tuple[FeatureVector, ...]
     coef: np.ndarray  # len(row_vectors) x len(premise_ids)
 
-    def save(self, path) -> None:
-        import json
-
-        payload = {
-            "format": "premsel-ridge/1",
-            "kernel": {"kind": self.kernel.kind, "sigma": self.kernel.sigma},
-            "lambda": self.lam,
-            "premises": list(self.premise_ids),
-            "rows": [list(v.indices) for v in self.row_vectors],
-            "coef": [[float(x) for x in row] for row in self.coef],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "RidgeModel":
-        import json
-
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != "premsel-ridge/1":
-            raise ValueError(f"not a premsel-ridge/1 file: {path}")
-        return cls(
-            kernel=KernelSpec(payload["kernel"]["kind"], float(payload["kernel"]["sigma"])),
-            lam=float(payload["lambda"]),
-            premise_ids=tuple(payload["premises"]),
-            row_vectors=tuple(FeatureVector(r) for r in payload["rows"]),
-            coef=np.asarray(payload["coef"], dtype=float),
-        )
-
 
 def _label_matrix(view: TrainingView) -> np.ndarray:
     Y = np.zeros((len(view.rows), len(view.premise_ids)))

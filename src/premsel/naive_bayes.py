@@ -16,7 +16,6 @@ scores every premise at once, bit for bit as the reference does.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ from .errors import TrainingError
 from .features import FeatureVector
 
 np = lazy_module("numpy")
-
-_FORMAT = "premsel-nb/1"
 
 
 @dataclass
@@ -59,54 +56,6 @@ class NbModel:
         cn = self.feature_row_counts.get(feature, 0) - cp
         return math.log((cp + a) / (used + 2 * a)) - math.log((cn + a) / (unused + 2 * a))
 
-    def save(self, path) -> None:
-        """Write the model as a documented, stable text (JSON) file.
-
-        Per premise: its id, prior log-odds, and the sparse per-feature
-        counts that parameterize its weight list (weights derive from
-        the counts through :meth:`weight`).  Storing exact integer
-        counts instead of float weights makes the round trip reproduce
-        scores bit for bit.
-        """
-        payload = {
-            "format": _FORMAT,
-            "smoothing": self.smoothing,
-            "rows": self.row_count,
-            "premises": [
-                {
-                    "id": pid,
-                    "uses": self.uses[p],
-                    "prior": self.priors[p],
-                    "feature_counts": {
-                        str(i): c for i, c in sorted(self.positive_counts[p].items())
-                    },
-                }
-                for p, pid in enumerate(self.premise_ids)
-            ],
-            "feature_row_counts": {str(i): c for i, c in sorted(self.feature_row_counts.items())},
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "NbModel":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != _FORMAT:
-            raise ValueError(f"not a {_FORMAT} file: {path}")
-        smoothing = float(payload["smoothing"])
-        rows = int(payload["rows"])
-        ids = tuple(p["id"] for p in payload["premises"])
-        uses = tuple(int(p["uses"]) for p in payload["premises"])
-        positive = tuple(
-            {int(i): int(c) for i, c in p["feature_counts"].items()}
-            for p in payload["premises"]
-        )
-        totals = {int(i): int(c) for i, c in payload["feature_row_counts"].items()}
-        priors, bases = _derived_terms(rows, uses, smoothing)
-        return cls(ids, rows, smoothing, uses, priors, bases, totals, positive)
-
 
 def _prior(row_count: int, u: int, smoothing: float) -> float:
     return math.log((u + smoothing) / (row_count - u + smoothing))
@@ -114,12 +63,6 @@ def _prior(row_count: int, u: int, smoothing: float) -> float:
 
 def _base(row_count: int, u: int, smoothing: float) -> float:
     return math.log(row_count - u + 2 * smoothing) - math.log(u + 2 * smoothing)
-
-
-def _derived_terms(row_count: int, uses, smoothing: float):
-    priors = tuple(_prior(row_count, u, smoothing) for u in uses)
-    bases = tuple(_base(row_count, u, smoothing) for u in uses)
-    return priors, bases
 
 
 def _check_smoothing(smoothing: float) -> None:
@@ -150,14 +93,14 @@ def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
             counts = positive[p]
             for i in row.features.indices:
                 counts[i] = counts.get(i, 0) + 1
-    priors, bases = _derived_terms(len(view.rows), uses, smoothing)
+    rows = len(view.rows)
     return NbModel(
         premise_ids=view.premise_ids,
-        row_count=len(view.rows),
+        row_count=rows,
         smoothing=smoothing,
         uses=tuple(uses),
-        priors=priors,
-        bases=bases,
+        priors=tuple(_prior(rows, u, smoothing) for u in uses),
+        bases=tuple(_base(rows, u, smoothing) for u in uses),
         feature_row_counts=totals,
         positive_counts=positive,
     )

@@ -8,7 +8,6 @@ paths under test.
 """
 
 import contextlib
-import itertools
 import math
 import random
 import subprocess
@@ -30,9 +29,15 @@ from premsel.evaluate import (
 )
 from premsel.features import FeatureVector
 from premsel.fol import parse_file, parse_item, print_item
-from premsel.kernel import GridSearchConfig, KernelSpec, build_kernel_matrix, ridge_solve
+from premsel.kernel import (
+    GridSearchConfig,
+    KernelSpec,
+    build_kernel_matrix,
+    cross_kernel,
+    ridge_solve,
+)
 from premsel.minimize import CountingOracle, batch_minimize, greedy_minimize
-from premsel.naive_bayes import nb_score, nb_train
+from premsel.naive_bayes import NbCounts, nb_score, nb_train
 
 from helpers import (
     planted_corpus_text,
@@ -98,7 +103,7 @@ def test_criterion_1_ridge_closed_form_matches_optimization_oracle():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_normal_equation_residual_bound(monkeypatch):
+def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
     # ridge_solve and the grid search recheck this bound internally on
     # every run in the suite and raise on violation; here the residual is
     # recomputed independently for a battery of fresh solves.
@@ -141,6 +146,37 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch):
                 residual = (K_tt + lam * np.eye(len(K_tt))) @ B[:, b, :] - K_tv
                 assert np.abs(residual).max() <= 1e-8
 
+        # A walk scores each trainable step with one RidgeFactor solve of
+        # (K + lam*I) alpha = k; K and k are rebuilt here from the rows the
+        # factor held and the features of the conjecture the step ranked.
+        factor_solves = []
+
+        def recording_solve(solve, apply, rhs):
+            alpha = checked_solve(solve, apply, rhs)
+            factor = solve.__self__
+            assert isinstance(factor, kernel.RidgeFactor)
+            factor_solves.append((factor.rows, factor.spec, factor.lam, alpha))
+            return alpha
+
+        checked_solve = kernel._checked_solve
+        monkeypatch.setattr(kernel, "_checked_solve", recording_solve)
+        f, d = write_corpus(tmp_path, *planted_corpus_text(n_items=150, noise=0.1, seed=SEED))
+        corpus = load_corpus([f], d)
+        for kind in ("gaussian", "linear"):
+            factor_solves.clear()
+            report = run_incremental(corpus, KernelRidgeRanker(kind), n_values=[10])
+            assert report.error_count == 0
+            steps = [o for o in report.outcomes if not o.fallback]
+            assert len(factor_solves) == len(steps) > 100
+            for outcome, (rows, spec, lam, alpha) in zip(steps, factor_solves):
+                view = corpus.training_view(outcome.position)
+                assert rows == view.rows
+                vectors = [row.features for row in rows]
+                K = build_kernel_matrix(spec, vectors)
+                k = cross_kernel(spec, [view.conjecture_features], vectors)[0]
+                residual = (K + lam * np.eye(len(rows))) @ alpha - k
+                assert np.abs(residual).max() <= 1e-8
+
 
 # ---------------------------------------------------------------------------
 # 3. Naive Bayes against the count-table oracle, exhaustively
@@ -170,28 +206,53 @@ def _oracle_table_score(combo, conjecture_indices):
     return math.log(numerator / denominator)
 
 
+def _multisets(prefix=(), size=5):
+    """Every multiset of at most ``size`` row indices, as a sorted tuple,
+    each right after its longest proper prefix."""
+    yield prefix
+    if len(prefix) < size:
+        for c in range(prefix[-1] if prefix else 0, len(_ROWS)):
+            yield from _multisets(prefix + (c,), size)
+
+
 def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
     # Scores decompose per premise, and both routes are invariant to row
     # order (sums over rows; checked separately in the unit tests), so
     # enumerating all row multisets for a single premise covers every
     # corpus with <= 4 features and <= 5 rows.  All 2^4 conjecture
-    # feature sets are checked per corpus.
+    # feature sets are checked per corpus.  The running counts that eval
+    # scores with are checked on every view of <= 3 rows, carried from
+    # one view to the next: a view that extends the one before appends,
+    # any other restarts.
     with criterion(3, "naive Bayes equals the smoothed count-table oracle"):
         checked = 0
-        for r in range(0, 6):
-            for combo in itertools.combinations_with_replacement(range(32), r):
-                view = TrainingView(
-                    ("p",), tuple(_ROWS[c] for c in combo), "c", r, FeatureVector([])
-                )
-                model = nb_train(view)
-                for conjecture in _VECTORS:
-                    got = nb_score(model, conjecture)[0]
-                    want = _oracle_table_score(combo, conjecture.indices)
-                    assert abs(got - want) <= 1e-12, (combo, conjecture.indices)
-                    checked += 1
+        counts = NbCounts()
+        appended = restarted = 0
+        for combo in _multisets():
+            rows = tuple(_ROWS[c] for c in combo)
+            view = TrainingView(("p",), rows, "c", len(rows), FeatureVector([]))
+            model = nb_train(view)
+            running = len(rows) <= 3
+            if running:
+                if rows[: len(counts.rows)] == counts.rows:
+                    appended += 1
+                else:
+                    restarted += 1
+                counts.sync(rows)
+            for conjecture in _VECTORS:
+                got = nb_score(model, conjecture)[0]
+                want = _oracle_table_score(combo, conjecture.indices)
+                assert abs(got - want) <= 1e-12, (combo, conjecture.indices)
+                if running:
+                    fast = counts.score(1, conjecture)[0]
+                    assert float(fast).hex() == float(got).hex(), (combo, conjecture.indices)
+                    assert abs(fast - want) <= 1e-12, (combo, conjecture.indices)
+                checked += 1
         assert checked == 16 * sum(
             math.comb(31 + r, r) for r in range(6)
         )
+        assert appended + restarted == sum(math.comb(31 + r, r) for r in range(4))
+        assert appended and restarted
 
 
 # ---------------------------------------------------------------------------

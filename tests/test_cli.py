@@ -405,6 +405,27 @@ def test_no_command_loads_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[False" + ", 0, False" * 5 + "]"
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["rank", *toy_args(), "--conjecture", "th_plus_one"], "--out-dir"),
+    (["eval", *toy_args()], "--out-dir"),
+    (["emit", *toy_args(), "--mode", "bushy"], "--out-dir"),
+    (["minimize", "--ids", "a,b"], "--out-dir"),
+    (["minimize", "--ids", "a,b"], "--trace-csv"),
+], ids=["rank", "eval", "emit", "minimize-out-dir", "minimize-trace-csv"])
+def test_unwritable_output_path_fails_before_any_work(tmp_path, command, flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n", encoding="utf-8")
+    path = blocker if flag == "--out-dir" else tmp_path / "missing" / "trace.csv"
+    marker = tmp_path / "probed"
+    if command[0] == "minimize":
+        command = [*command, "--oracle-cmd", f"touch '{marker}'"]
+    result = run_cli(*command, flag, path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"configuration error: {flag} {path}: ")
+    assert result.stdout == ""
+    assert not marker.exists()  # no oracle probe ran
+
+
 class TestMinimize:
     A_SUFFICES = "import sys; sys.exit(0 if 'a' in sys.stdin.read().split() else 1)"
 

@@ -75,14 +75,6 @@ class TestFeatureDictionary:
         assert d.lookup("unknown") is None
         assert d.key_at(0) == "s:p/1"
 
-    def test_save_load_roundtrip(self, tmp_path):
-        d = FeatureDictionary(["s:p/1", "t:a", "t:f(*0)"])
-        path = tmp_path / "features.txt"
-        d.save(path)
-        assert path.read_text(encoding="utf-8") == "s:p/1\nt:a\nt:f(*0)\n"
-        loaded = FeatureDictionary.load(path)
-        assert loaded.keys() == d.keys()
-
 
 class TestVectorize:
     def test_empty_feature_set_gives_empty_vector(self):

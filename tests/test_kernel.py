@@ -16,7 +16,6 @@ from premsel.kernel import (
     GridSearchConfig,
     KernelSpec,
     RidgeFactor,
-    RidgeModel,
     build_kernel_matrix,
     cross_kernel,
     grid_search,
@@ -253,22 +252,6 @@ class TestRidgeModel:
         assert scores[0] > scores[1]
         assert scores[0] > scores[2]
         assert scores[0] > scores[3]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        view = view_from_indices(
-            rows=[(list(v.indices), {0} if rng.uniform() < 0.5 else set())
-                  for v in random_vectors(rng, 6)],
-            premise_ids=("p0",),
-        )
-        model = ridge_train(view, KernelSpec("gaussian", 1.7), 0.25)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = RidgeModel.load(path)
-        assert loaded.kernel == model.kernel
-        assert loaded.lam == model.lam
-        conj = FeatureVector([1, 2, 3])
-        np.testing.assert_array_equal(ridge_score(loaded, conj), ridge_score(model, conj))
 
 
 class TestGridSearch:

@@ -11,7 +11,7 @@ import pytest
 from premsel.corpus import TrainingRow
 from premsel.errors import TrainingError
 from premsel.features import FeatureVector
-from premsel.naive_bayes import NbCounts, NbModel, nb_score, nb_train
+from premsel.naive_bayes import NbCounts, nb_score, nb_train
 
 from helpers import nb_oracle_score, view_from_indices
 
@@ -171,24 +171,6 @@ class TestOracleAgreement:
             rng.shuffle(rows)
             shuffled = nb_score(nb_train(view_from_indices(rows, ("p",))), conj)
             np.testing.assert_allclose(shuffled, base, atol=1e-12)
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_scores_exactly(self, tmp_path):
-        rng = random.Random(23)
-        rows = [
-            (rng.sample(range(10), rng.randint(1, 6)),
-             {p for p in range(5) if rng.random() < 0.3})
-            for _ in range(8)
-        ]
-        model = nb_train(view_from_indices(rows, tuple(f"prem{i}" for i in range(5))))
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = NbModel.load(path)
-        assert loaded.premise_ids == model.premise_ids
-        for _ in range(10):
-            conj = FeatureVector(rng.sample(range(12), rng.randint(0, 6)))
-            np.testing.assert_array_equal(nb_score(loaded, conj), nb_score(model, conj))
 
 
 def _bits(scores):
