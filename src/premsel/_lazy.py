@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import types
 
 
 def lazy_module(name: str):
@@ -28,3 +29,10 @@ def lazy_module(name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def executed(name: str) -> bool:
+    """Whether module ``name`` has run: imported as usual, or deferred by
+    :func:`lazy_module` and used since."""
+    # a deferred module keeps LazyLoader's own module type until first used
+    return type(sys.modules.get(name)) is types.ModuleType

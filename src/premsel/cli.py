@@ -7,12 +7,24 @@ missing files, unknown ids, an output path that cannot be written),
 (Ctrl-C).  Every command that writes into an output directory also
 writes ``run_metadata.json`` echoing the full configuration and seed,
 enough to reproduce the run byte for byte.
+
+Environment: ``eval``, ``rank`` and advised ``emit`` run OpenBLAS on
+one thread.  Before numpy first runs they set
+``OPENBLAS_NUM_THREADS=1``, unless one of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is
+set, in which case the value set wins.  Their matrices are small,
+so more OpenBLAS threads mostly spin between calls, and their outputs
+were byte-identical with one and with two threads.  ``minimize``,
+whose oracle inherits the environment, and a process in which numpy
+has already run (library use) are left as they are.  Only OpenBLAS, as
+in numpy's PyPI wheels, was measured; MKL and OpenMP builds were not.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
 import sys
 from collections import Counter
@@ -21,6 +33,7 @@ from pathlib import Path
 import click
 
 from . import __version__
+from ._lazy import executed
 from .corpus import load_corpus
 from .errors import ConfigError, CorpusError, FofSyntaxError, PremselError
 from .evaluate import (
@@ -41,6 +54,10 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_RUNTIME = 4
 EXIT_INTERRUPTED = 130
+
+# OpenBLAS reads the first three, in this order; MKL builds read the last.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 DEFAULT_N_SET = "1,2,3,4,5,6,7,8,9,10,20,30,40,50,60,70,80,90,100"
 
@@ -103,7 +120,13 @@ def _load(formula_paths, dep_path):
 
 def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
                   smoothing, train_rows, seed):
-    """The command's ranker and the roles that contribute its training rows."""
+    """The command's ranker and the roles that contribute its training rows.
+
+    Every command that ranks calls this before numpy first runs, so it
+    is where OpenBLAS is held to one thread (see the module docstring).
+    """
+    if not executed("numpy") and not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     grids = {"lambda_grid": _parse_floats(lambda_grid, "--lambda-grid"),
              "sigma_grid": _parse_floats(sigma_grid, "--sigma-grid")}
     grid = GridSearchConfig(split=split, seed=seed, chronological=chrono_split,

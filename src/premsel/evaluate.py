@@ -129,9 +129,9 @@ class KernelRidgeRanker:
     rows one at a time either way, so advice is a function of the view
     alone.  In a walk a theorem is scored as a conjecture one step
     before its row is appended, so the append mostly reuses the score's
-    forward solve; it cannot when the conjecture's features, cut to
-    those seen before it, differ from the row's.  Search and factor run
-    on numpy alone; no step imports scipy.
+    kernel row and forward solve; it cannot when the conjecture's
+    features, cut to those seen before it, differ from the row's.
+    Search and factor run on numpy alone; no step imports scipy.
     """
 
     def __init__(self, kernel_kind: str = "gaussian",

@@ -193,8 +193,10 @@ class RidgeFactor:
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
     up to rounding, with one solve per call.  When the conjecture just
-    scored is the next row appended, with the same kernel row bit for
-    bit, the append reuses the score's forward solve ``L^-1 k``.
+    scored has the same features as the next row appended, the append
+    reuses the score's kernel row ``k`` and forward solve ``L^-1 k`` and
+    computes only its diagonal entry; a row with other features reuses
+    the forward solve when its kernel row equals ``k`` bit for bit.
 
     Rows are kept in blocks of :data:`BLOCK_ROWS`.  A block's panels are
     allocated once, when its first row arrives, and filled row by row,
@@ -219,7 +221,7 @@ class RidgeFactor:
         self.lam: float | None = lam
         self.rows: tuple = ()
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
-        self._scored: tuple | None = None   # (k, L^-1 k) of the first solve of the last score
+        self._scored: tuple | None = None   # (feature indices, k, L^-1 k) of the last score
         self._sizes = array("d")            # feature count of each row
         self._rows_by_feature: dict[int, array] = {}
         self._use_rows = array("i")         # row of each (row, used premise) pair
@@ -247,12 +249,18 @@ class RidgeFactor:
         for f in row.features.indices:
             self._rows_by_feature.setdefault(f, array("i")).append(i)
         self._sizes.append(len(row.features))
-        k = self._kernel_row(row.features, i + 1)
         scored, self._scored = self._scored, None
-        if scored is not None and scored[0].tobytes() == k[:i].tobytes():
-            l = scored[1]
+        if scored is not None and scored[0] == row.features.indices:
+            # the kernel row of the conjecture just scored, against the same
+            # i rows, is this row's but for the diagonal entry
+            size = [len(row.features)]
+            diagonal = _kernelize(self.spec, np.array([size], dtype=float), size, size)[0]
+            k = np.append(scored[1], diagonal)
         else:
-            l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
+            k = self._kernel_row(row.features, i + 1)
+            if scored is not None and scored[1].tobytes() != k[:i].tobytes():
+                scored = None
+        l = self._forward(k[:i]) if scored is None else scored[2]  # L[:i, :i] l = k[:i]
         pivot = k[i] + self.lam - l @ l
         if not pivot > 0:
             raise TrainingError(f"kernel matrix factorization failed: pivot {pivot:.3e} "
@@ -297,9 +305,9 @@ class RidgeFactor:
         return _scaled(solve, rhs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._forward(rhs)
-        if self._scored is None:  # the first solve of a score is of its kernel row
-            self._scored = (rhs, y)
+        _, k, y = self._scored
+        if rhs is not k:  # a refinement step's residual
+            y = self._forward(rhs)
 
         def solve(v):  # L^T x = v
             x = v.copy()
@@ -331,9 +339,9 @@ class RidgeFactor:
         if not n:
             raise TrainingError("no training rows")
         k = self._kernel_row(features, n)
-        self._scored = None
         # a non-finite solve is the residual check's to report, not numpy's
         with np.errstate(invalid="ignore", over="ignore"):
+            self._scored = (features.indices, k, self._forward(k))
             alpha = _checked_solve(self._solve, self._apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)

@@ -9,6 +9,7 @@ paths under test.
 
 import contextlib
 import math
+import os
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from premsel import kernel
+from premsel.cli import BLAS_THREAD_VARS
 from premsel.corpus import TrainingRow, TrainingView, load_corpus
 from premsel.evaluate import (
     KernelRidgeRanker,
@@ -191,18 +193,26 @@ _ROWS = [
 ]
 
 
-def _oracle_table_score(combo, conjecture_indices):
-    """Direct route: smoothed count tables -> probability products -> one log."""
-    n = len(combo)
+def _oracle_tables(combo):
+    """Count tables of a row multiset: rows, rows using the premise, and
+    per feature the rows holding it that do and do not use the premise."""
     uses = sum(1 for c in combo if _ROW_CONFIGS[c][1])
+    cp, cn = [], []
+    for feature in range(4):
+        present = 1 << feature
+        cp.append(sum(1 for c in combo if _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present))
+        cn.append(sum(1 for c in combo if not _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present))
+    return len(combo), uses, cp, cn
+
+
+def _oracle_table_score(tables, conjecture_indices):
+    """Direct route: smoothed count tables -> probability products -> one log."""
+    n, uses, cp, cn = tables
     numerator = (uses + 1) / (n + 2)
     denominator = (n - uses + 1) / (n + 2)
     for feature in conjecture_indices:
-        present = 1 << feature
-        cp = sum(1 for c in combo if _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present)
-        cn = sum(1 for c in combo if not _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present)
-        numerator *= (cp + 1) / (uses + 2)
-        denominator *= (cn + 1) / (n - uses + 2)
+        numerator *= (cp[feature] + 1) / (uses + 2)
+        denominator *= (cn[feature] + 1) / (n - uses + 2)
     return math.log(numerator / denominator)
 
 
@@ -232,6 +242,7 @@ def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
             rows = tuple(_ROWS[c] for c in combo)
             view = TrainingView(("p",), rows, "c", len(rows), FeatureVector([]))
             model = nb_train(view)
+            tables = _oracle_tables(combo)
             running = len(rows) <= 3
             if running:
                 if rows[: len(counts.rows)] == counts.rows:
@@ -241,7 +252,7 @@ def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
                 counts.sync(rows)
             for conjecture in _VECTORS:
                 got = nb_score(model, conjecture)[0]
-                want = _oracle_table_score(combo, conjecture.indices)
+                want = _oracle_table_score(tables, conjecture.indices)
                 assert abs(got - want) <= 1e-12, (combo, conjecture.indices)
                 if running:
                     fast = counts.score(1, conjecture)[0]
@@ -458,24 +469,35 @@ def test_criterion_9c_bushy_subset_of_chainy(tmp_path):
 
 
 def test_criterion_9d_byte_identical_csvs_across_runs_and_jobs(tmp_path):
-    with criterion(9, "byte-identical CSVs across reruns and job counts"):
+    with criterion(9, "byte-identical CSVs across reruns, job and BLAS thread counts"):
         formulas, deps = planted_corpus_text(n_items=60, n_topics=4, noise=0.10, seed=SEED)
         f, d = write_corpus(tmp_path, formulas, deps)
+        unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
 
-        def run_eval(out, jobs):
+        def run_eval(out, *flags, env=unset):
             result = subprocess.run(
                 [sys.executable, "-m", "premsel", "eval",
-                 "--formulas", str(f), "--deps", str(d), "--ranker", "nb",
-                 "--n-set", "1,5,10", "--seed", "3", "--jobs", str(jobs),
-                 "--out-dir", str(out)],
-                capture_output=True, text=True,
+                 "--formulas", str(f), "--deps", str(d), "--n-set", "1,5,10", "--seed", "3",
+                 *flags, "--out-dir", str(out)],
+                capture_output=True, text=True, env=env,
             )
             assert result.returncode == 0, result.stderr
-            return {name: (out / f"{name}.csv").read_bytes()
-                    for name in ("conjectures", "average", "segments")}
+            return {name: path.read_bytes() if path.exists() else None
+                    for name in ("conjectures", "average", "segments", "grid_loss")
+                    for path in [out / f"{name}.csv"]}
 
-        first = run_eval(tmp_path / "run1", 1)
-        second = run_eval(tmp_path / "run2", 1)
-        threaded = run_eval(tmp_path / "run4", 4)
+        first = run_eval(tmp_path / "run1", "--ranker", "nb", "--jobs", "1")
+        second = run_eval(tmp_path / "run2", "--ranker", "nb", "--jobs", "1")
+        threaded = run_eval(tmp_path / "run4", "--ranker", "nb", "--jobs", "4")
         assert first == second
         assert first == threaded
+
+        # mor's solves run on one OpenBLAS thread unless a thread variable
+        # is set; two threads must give the same bytes
+        two = {**unset, "OPENBLAS_NUM_THREADS": "2"}
+        for regrid in ("once", "always"):
+            flags = ("--ranker", "mor", "--regrid", regrid)
+            one_thread = run_eval(tmp_path / f"{regrid}-1", *flags)
+            two_threads = run_eval(tmp_path / f"{regrid}-2", *flags, env=two)
+            assert one_thread == two_threads
+            assert (one_thread["grid_loss"] is None) == (regrid == "always")
