@@ -488,9 +488,9 @@ def test_criterion_9d_byte_identical_csvs_across_runs_and_jobs(tmp_path):
 
         first = run_eval(tmp_path / "run1", "--ranker", "nb", "--jobs", "1")
         second = run_eval(tmp_path / "run2", "--ranker", "nb", "--jobs", "1")
-        threaded = run_eval(tmp_path / "run4", "--ranker", "nb", "--jobs", "4")
+        four_jobs = run_eval(tmp_path / "run4", "--ranker", "nb", "--jobs", "4")
         assert first == second
-        assert first == threaded
+        assert first == four_jobs
 
         # mor's solves run on one OpenBLAS thread unless a thread variable
         # is set; two threads must give the same bytes

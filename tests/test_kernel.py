@@ -638,9 +638,40 @@ class TestRidgeFactorBlocks:
             return forward(self, rhs)
 
         monkeypatch.setattr(RidgeFactor, "_forward", counted)
+        kernel_rows = []
+        kernel_row = RidgeFactor._kernel_row
+
+        def counted_rows(self, features, n):
+            kernel_rows.append(n)
+            return kernel_row(self, features, n)
+
+        monkeypatch.setattr(RidgeFactor, "_kernel_row", counted_rows)
         factor.score(6, view.rows[n].features)
         factor.sync(view.rows[: n + 1], GAUSS, 0.5)  # the scored kernel row: reused
         # one more feature changes every gaussian kernel value
         factor.score(6, FeatureVector([*view.rows[n + 1].features, 99]))
         factor.sync(view.rows[: n + 2], GAUSS, 0.5)  # another kernel row: solved afresh
         assert solved == [n, n + 1, n + 1]
+        assert kernel_rows == [n, n + 1, n + 2]
+
+    def test_other_features_with_the_same_kernel_row_reuse_the_forward_solve(self, monkeypatch):
+        view = _random_view(np.random.default_rng(22), BLOCK_ROWS + 1)
+        n = BLOCK_ROWS
+        factor = RidgeFactor()
+        factor.sync(view.rows[:n], LINEAR, 0.5)
+        solved = []
+        forward = RidgeFactor._forward
+
+        def counted(self, rhs):
+            solved.append(len(rhs))
+            return forward(self, rhs)
+
+        monkeypatch.setattr(RidgeFactor, "_forward", counted)
+        # feature 99 is in no row, so the linear kernel row is the row's own
+        factor.score(6, FeatureVector([*view.rows[n].features, 99]))
+        factor.sync(view.rows[: n + 1], LINEAR, 0.5)
+        assert solved == [n]
+        fresh = RidgeFactor()
+        fresh.sync(view.rows[: n + 1], LINEAR, 0.5)
+        assert ([s.hex() for s in factor.score(6, view.conjecture_features)]
+                == [s.hex() for s in fresh.score(6, view.conjecture_features)])
