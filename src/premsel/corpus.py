@@ -8,7 +8,8 @@ and the positions of the strictly earlier items its recorded proof
 used.  A training view at position ``i`` selects from those shared
 rows: it exposes exactly the first ``i`` items as candidate premises,
 the rows of those items, and the conjecture at ``i`` with its features
-restricted to what was known before it.
+restricted to what was known before it.  :class:`RowState` is the base
+of the rankers' running state over a growing row sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import CorpusError, FofSyntaxError
+from .errors import CorpusError, FofSyntaxError, TrainingError
 from .features import FeatureDictionary, FeatureVector, vectorize
 from .fol import NamedItem, parse_items
 
@@ -59,6 +60,44 @@ class TrainingView:
     @property
     def pool_size(self) -> int:
         return len(self.premise_ids)
+
+
+class RowState:
+    """State counted from a row sequence that grows between uses.
+
+    :meth:`sync` brings the state to ``rows`` under ``key``: while
+    ``key`` stays the same and ``rows`` extend the rows already counted,
+    it counts only the rows past them; any other input restarts from
+    empty.  Subclasses extend ``_reset(key)``, which empties the state,
+    and define ``_append(i, row)``, which counts ``row`` as row ``i``.
+    """
+
+    def __init__(self):
+        self._reset(None)
+
+    def _reset(self, key) -> None:
+        self.key = key
+        self.rows: tuple[TrainingRow, ...] = ()
+
+    def sync(self, rows: tuple[TrainingRow, ...], key=None) -> None:
+        """Make this the state of ``rows`` under ``key``."""
+        n = len(self.rows)
+        # a view's rows are the corpus's shared objects: mostly identity checks
+        if key != self.key or rows[:n] != self.rows:
+            n = 0
+        if any(row.features is None for row in rows[n:]):
+            raise TrainingError("training row without a feature vector")
+        if not n:
+            self._reset(key)
+        # an exception part-way, an interrupt too, leaves rows counted that
+        # self.rows does not hold, so the state goes back to empty
+        try:
+            for i in range(n, len(rows)):
+                self._append(i, rows[i])
+        except BaseException:
+            self._reset(None)
+            raise
+        self.rows = rows
 
 
 class Corpus:

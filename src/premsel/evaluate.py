@@ -131,7 +131,7 @@ class KernelRidgeRanker:
     before its row is appended, so the append mostly reuses the score's
     kernel row and forward solve; it cannot when the conjecture's
     features, cut to those seen before it, differ from the row's.
-    Search and factor run on numpy alone; no step imports scipy.
+    Search and factor run on numpy alone.
     """
 
     def __init__(self, kernel_kind: str = "gaussian",

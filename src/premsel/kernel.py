@@ -11,7 +11,8 @@ rows.  Hyperparameters come from a seeded 70/30 grid search, which needs
 only the validation predictions ``K_vt (K_tt + lam*I)^-1 Y_train``: it
 solves for the validation columns ``K_tv``, not for one column per
 premise, takes one eigendecomposition of ``K_tt`` per sigma to serve
-every lambda, and checks each lambda's solve against the residual bound.
+every lambda, and checks those solves as one batch against the residual
+bound.
 
 The same scores have a dual form, ``A^T k = Y^T alpha`` with
 ``alpha = (K + lam*I)^-1 k``: one right-hand side per conjecture
@@ -22,14 +23,14 @@ Cholesky factor ``L`` of ``K + lam*I`` and appends one row at a time,
 one triangular solve per row, so a step of a chronological walk costs
 O(n^2) instead of a fresh O(n^3) factorization.
 :func:`ridge_train` and :func:`ridge_score` stay the primal reference.
-:func:`ridge_solve` and :meth:`RidgeFactor.score` share one residual
-check, :func:`_checked_solve`.
+All three solvers, :func:`ridge_solve`, :meth:`RidgeFactor.score` and
+the grid search's batched solve, share one residual check,
+:func:`_checked_solve`.
 
-Everything the commands run is numpy alone: Gram matrices are exact
-counts from feature posting lists, and :class:`RidgeFactor` solves with
-matrix-vector products.  Only :func:`ridge_solve`, the primal reference,
-imports scipy, inside the function.  numpy runs on first use (see
-``premsel._lazy``).
+Everything here is numpy alone: Gram matrices are exact counts from
+feature posting lists, :class:`RidgeFactor` solves with matrix-vector
+products, and :func:`ridge_solve` factors with ``numpy.linalg``.  numpy
+runs on first use (see ``premsel._lazy``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 
 from ._lazy import lazy_module
-from .corpus import TrainingView
+from .corpus import RowState, TrainingView
 from .errors import ConfigError, TrainingError
 from .features import FeatureVector
 
@@ -130,8 +131,6 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     ``lam > 0`` can only happen when K is far from positive
     semidefinite.
     """
-    import scipy.linalg
-
     _check_lambda(lam)
     K = np.asarray(K, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -140,10 +139,11 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
         raise ValueError("shape mismatch between kernel and label matrices")
     M = K + lam * np.eye(n)
     try:
-        factor = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise TrainingError(f"kernel matrix factorization failed: {exc}") from exc
-    return _checked_solve(lambda rhs: scipy.linalg.cho_solve(factor, rhs), lambda A: M @ A, Y)
+    return _checked_solve(lambda rhs: np.linalg.solve(L.T, np.linalg.solve(L, rhs)),
+                          lambda A: M @ A, Y)
 
 
 def _checked_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
@@ -151,15 +151,22 @@ def _checked_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
     multiplies by the matrix that ``solve`` inverts, and a solution whose
     residual ``apply(x) - rhs`` exceeds the bound in any entry gets one
     refinement step ``x - solve(residual)``, after which a residual still
-    above the bound is a :class:`TrainingError`."""
+    above the bound is a :class:`TrainingError`.
+
+    ``solve`` and ``apply`` return new arrays, which the check overwrites:
+    it makes no temporary the size of ``x``."""
     x = solve(rhs)
-    residual = apply(x) - rhs
-    # written so that a NaN residual fails
-    if not np.abs(residual).max(initial=0.0) <= RESIDUAL_BOUND:
-        x = x - solve(residual)
-        bound = np.abs(apply(x) - rhs).max(initial=0.0)
-        if not bound <= RESIDUAL_BOUND:
-            raise TrainingError(f"solve residual {bound:.3e} exceeds {RESIDUAL_BOUND:.0e}")
+    r = apply(x)
+    r -= rhs
+    # max |r|, written so that a NaN residual fails
+    if not np.maximum(r.max(initial=0.0), -r.min(initial=0.0)) <= RESIDUAL_BOUND:
+        x -= solve(r)
+        del r  # freed before the next residual is built
+        r = apply(x)
+        r -= rhs
+        worst = np.maximum(r.max(initial=0.0), -r.min(initial=0.0))
+        if not worst <= RESIDUAL_BOUND:
+            raise TrainingError(f"solve residual {worst:.3e} exceeds {RESIDUAL_BOUND:.0e}")
     return x
 
 
@@ -182,13 +189,14 @@ def _scaled(op, v: np.ndarray) -> np.ndarray:
     return np.ldexp(op(np.ldexp(v, -e)), e)
 
 
-class RidgeFactor:
+class RidgeFactor(RowState):
     """Kernel matrix ``K`` and Cholesky factor ``L`` of ``K + lam*I`` for
     a row sequence that grows between uses.
 
     :meth:`sync` brings the factor to a given row sequence, kernel and
     lambda, appending only the rows past the prefix already counted;
-    any other input restarts from empty.  Rows are appended one at a
+    any other input restarts from empty (see
+    :class:`~premsel.corpus.RowState`).  Rows are appended one at a
     time, in row order, also after a restart, so the factor of a row
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
@@ -213,13 +221,9 @@ class RidgeFactor:
     each, on vectors scaled by :func:`_scaled`.
     """
 
-    def __init__(self):
-        self._reset(None, None)
-
-    def _reset(self, spec, lam) -> None:
-        self.spec: KernelSpec | None = spec
-        self.lam: float | None = lam
-        self.rows: tuple = ()
+    def _reset(self, key) -> None:
+        super()._reset(key)
+        self.spec, self.lam = key or (None, None)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
         self._scored: tuple | None = None   # (feature indices, k, L^-1 k) of the last score
         self._sizes = array("d")            # feature count of each row
@@ -230,20 +234,7 @@ class RidgeFactor:
     def sync(self, rows, spec: KernelSpec, lam: float) -> None:
         """Make this the factor of ``rows`` under ``spec`` and ``lam``."""
         _check_lambda(lam)
-        n = len(self.rows)
-        # a view's rows are the corpus's shared objects: mostly identity checks
-        if (spec, lam) != (self.spec, self.lam) or rows[:n] != self.rows:
-            self._reset(spec, lam)
-            n = 0
-        # an exception part-way, an interrupt too, leaves rows counted that
-        # self.rows does not hold, so the state goes back to empty
-        try:
-            for i in range(n, len(rows)):
-                self._append(i, rows[i])
-        except BaseException:
-            self._reset(None, None)
-            raise
-        self.rows = rows
+        super().sync(rows, (spec, lam))
 
     def _append(self, i: int, row) -> None:
         for f in row.features.indices:
@@ -426,39 +417,25 @@ class GridSearchResult:
 def _ridge_columns(K_tt: np.ndarray, K_tv: np.ndarray, lams) -> np.ndarray:
     """``(K_tt + lam*I)^-1 K_tv`` for every ``lam`` of ``lams`` at once, as
     an ``(n_t, len(lams), n_v)`` array, from one eigendecomposition of
-    ``K_tt``.  Each lambda's block is checked against ``RESIDUAL_BOUND``
-    as :func:`_checked_solve` checks a solve, and a failing block gets
-    one refinement step through the same eigenbasis.  The check is its
-    own here because it selects and refines blocks, not whole solves."""
+    ``K_tt``.  The batch is one solve for :func:`_checked_solve`: when any
+    lambda's block misses ``RESIDUAL_BOUND``, every block gets one
+    refinement step through the same eigenbasis."""
     n_t, n_v = K_tv.shape
     w, Q = np.linalg.eigh(K_tt)
-
-    def solve(rhs, lam):  # rhs: (n_t, 1 or len(lam), n_v)
-        coords = (Q.T @ rhs.reshape(n_t, -1)).reshape(n_t, -1, n_v)
-        coords = coords / (w[:, None, None] + lam[None, :, None])
-        return (Q @ coords.reshape(n_t, -1)).reshape(n_t, len(lam), n_v)
-
-    def residual(B, lam):
-        r = (K_tt @ B.reshape(n_t, -1)).reshape(B.shape)
-        for j, lam_j in enumerate(lam):  # block by block: no temporary the size of B
-            r[:, j] += lam_j * B[:, j]
-        r -= K_tv[:, None, :]
-        return r
-
-    def bounds(r):  # max |r| per block; NaN propagates
-        return np.maximum(r.max(axis=(0, 2)), -r.min(axis=(0, 2)))
-
     lams = np.asarray(lams, dtype=float)
-    B = solve(K_tv[:, None, :], lams)
-    r = residual(B, lams)
-    # written so that a NaN residual fails
-    bad = ~(bounds(r) <= RESIDUAL_BOUND)
-    if bad.any():
-        B[:, bad] -= solve(r[:, bad], lams[bad])
-        bound = bounds(residual(B[:, bad], lams[bad])).max()
-        if not bound <= RESIDUAL_BOUND:
-            raise TrainingError(f"solve residual {bound:.3e} exceeds {RESIDUAL_BOUND:.0e}")
-    return B
+
+    def solve(rhs):  # rhs: (n_t, 1 or len(lams), n_v)
+        coords = (Q.T @ rhs.reshape(n_t, -1)).reshape(n_t, -1, n_v)
+        coords = coords / (w[:, None, None] + lams[None, :, None])
+        return (Q @ coords.reshape(n_t, -1)).reshape(n_t, len(lams), n_v)
+
+    def apply(B):
+        out = (K_tt @ B.reshape(n_t, -1)).reshape(B.shape)
+        for j, lam in enumerate(lams):  # block by block: no temporary the size of B
+            out[:, j] += lam * B[:, j]
+        return out
+
+    return _checked_solve(solve, apply, K_tv[:, None, :])
 
 
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:

@@ -16,12 +16,12 @@ needed, then finishes with the size-1 pass.
 
 from __future__ import annotations
 
-import csv
 import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import PremselError
+from .evaluate import write_csv
 
 
 class InsufficientStartError(PremselError):
@@ -188,10 +188,9 @@ def batch_minimize(start: Sequence[str], oracle, schedule: Sequence[int] | None 
 
 
 def write_trace_csv(result: MinimizationResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "attempted_ids", "sufficient"])
-        for step, record in enumerate(result.trace):
-            verdict = ("timeout" if record.sufficient is TIMEOUT
-                       else "true" if record.sufficient else "false")
-            writer.writerow([step, " ".join(record.attempted), verdict])
+    def verdict(sufficient):
+        return "timeout" if sufficient is TIMEOUT else "true" if sufficient else "false"
+
+    write_csv(path, ["step", "attempted_ids", "sufficient"],
+              ([step, " ".join(record.attempted), verdict(record.sufficient)]
+               for step, record in enumerate(result.trace)))

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 
 from ._lazy import lazy_module
-from .corpus import TrainingRow, TrainingView
+from .corpus import RowState, TrainingRow, TrainingView
 from .errors import TrainingError
 from .features import FeatureVector
 
@@ -130,14 +130,14 @@ def nb_score(model: NbModel, features: FeatureVector) -> np.ndarray:
     return scores
 
 
-class NbCounts:
+class NbCounts(RowState):
     """Naive Bayes counts of a row sequence that grows between uses.
 
-    :meth:`sync` brings the counts to a given row sequence, counting
-    only the rows past the prefix already counted; a sequence that does
-    not extend that prefix is counted from empty.  :meth:`score` then
-    equals ``nb_score(nb_train(view), features)`` for any view with
-    those rows, bit for bit.
+    :meth:`~premsel.corpus.RowState.sync` brings the counts to a given
+    row sequence, counting only the rows past the prefix already
+    counted; a sequence that does not extend that prefix is counted from
+    empty.  :meth:`score` then equals ``nb_score(nb_train(view),
+    features)`` for any view with those rows, bit for bit.
 
     Per feature it keeps the premise positions used by the rows that
     contain the feature, one entry per (row, used premise) pair, so a
@@ -150,42 +150,21 @@ class NbCounts:
         self.smoothing = smoothing
         # logs[c] = log(c + smoothing), extended as the row count grows
         self._logs = np.array([math.log(smoothing)])
-        self._reset()
+        super().__init__()
 
-    def _reset(self) -> None:
-        self.rows: tuple[TrainingRow, ...] = ()
+    def _reset(self, key) -> None:
+        super()._reset(key)
         self._totals: dict[int, int] = {}
         self._used = array("i")
         self._used_by_feature: dict[int, array] = {}
 
-    def sync(self, rows: tuple[TrainingRow, ...]) -> None:
-        """Make these the counts of ``rows``."""
-        n = len(self.rows)
-        # a view's rows are the corpus's shared objects: mostly identity checks
-        if rows[:n] != self.rows:
-            self._reset()
-            n = 0
-        new = rows[n:]
-        if any(row.features is None for row in new):
-            raise TrainingError("training row without a feature vector")
-        # an exception part-way, an interrupt too, leaves rows counted that
-        # self.rows does not hold, so the state goes back to empty
-        try:
-            for row in new:
-                for i in row.features.indices:
-                    self._totals[i] = self._totals.get(i, 0) + 1
-                if row.used:
-                    self._used.extend(row.used)
-                    for i in row.features.indices:
-                        self._used_by_feature.setdefault(i, array("i")).extend(row.used)
-        except BaseException:
-            self._reset()
-            raise
-        self.rows = rows
-        a = self.smoothing
-        grown = range(len(self._logs), len(rows) + 1)
-        if grown:
-            self._logs = np.append(self._logs, [math.log(c + a) for c in grown])
+    def _append(self, i: int, row: TrainingRow) -> None:
+        for f in row.features.indices:
+            self._totals[f] = self._totals.get(f, 0) + 1
+        if row.used:
+            self._used.extend(row.used)
+            for f in row.features.indices:
+                self._used_by_feature.setdefault(f, array("i")).extend(row.used)
 
     def score(self, pool: int, features: FeatureVector) -> np.ndarray:
         """Scores of premises ``0 … pool-1``, in the float operations of
@@ -193,6 +172,9 @@ class NbCounts:
         index order the difference of two log-table entries."""
         a = self.smoothing
         rows = len(self.rows)
+        grown = range(len(self._logs), rows + 1)
+        if grown:
+            self._logs = np.append(self._logs, [math.log(c + a) for c in grown])
         idx = features.indices
         k = len(idx)
         uses = np.bincount(np.frombuffer(self._used, dtype=np.intc), minlength=pool)

@@ -81,7 +81,8 @@ def test_criterion_1_ridge_closed_form_matches_optimization_oracle():
                 spec = KernelSpec("gaussian", float(rng.uniform(0.5, 2.0)))
             else:
                 spec = KernelSpec("linear")
-            K = build_kernel_matrix(spec, random_vectors(rng, n, width=15, max_size=6))
+            vectors = random_vectors(rng, n, width=15, max_size=6)
+            K = build_kernel_matrix(spec, vectors)
             Y = (rng.uniform(size=(n, premises)) < 0.3).astype(float)
             A = ridge_solve(K, Y, lam)
 
@@ -96,6 +97,19 @@ def test_criterion_1_ridge_closed_form_matches_optimization_oracle():
                 j = int(rng.integers(A.shape[1]))
                 probe[i, j] += float(rng.choice([-1e-4, 1e-4]))
                 assert ridge_objective(K, Y, lam, probe) >= base - slack
+
+            # The walk's dual scores Y^T (K + lam*I)^-1 k equal A^T k, with A
+            # the solution just checked, up to rounding.  The conjecture
+            # comes from its own generator, so the instances stay as they were.
+            conjecture = random_vectors(np.random.default_rng([SEED, instance]), 1,
+                                        width=15, max_size=6)[0]
+            rows = tuple(TrainingRow(r, v, frozenset(np.flatnonzero(Y[r]).tolist()))
+                         for r, v in enumerate(vectors))
+            factor = kernel.RidgeFactor()
+            factor.sync(rows, spec, lam)
+            expected = A.T @ cross_kernel(spec, [conjecture], vectors)[0]
+            scores = factor.score(premises, conjecture)
+            assert np.abs(scores - expected).max() <= 1e-12 * max(1.0, np.abs(A).max())
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -130,6 +144,13 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
             solves.append((K_tt, K_tv, lams, B))
             return B
 
+        def check_grid_solves():
+            for K_tt, K_tv, lams, B in solves:
+                assert B.shape == (len(K_tt), len(lams), K_tv.shape[1])
+                for b, lam in enumerate(lams):
+                    residual = (K_tt + lam * np.eye(len(K_tt))) @ B[:, b, :] - K_tv
+                    assert np.abs(residual).max() <= 1e-8
+
         ridge_columns = kernel._ridge_columns
         monkeypatch.setattr(kernel, "_ridge_columns", recording)
         for trial in range(20):
@@ -142,19 +163,19 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
             kind = ("gaussian", "linear")[trial % 2]
             kernel.grid_search(view, kind, GridSearchConfig(seed=trial))
         assert len(solves) == 10 * len(GridSearchConfig().sigma_grid) + 10
-        for K_tt, K_tv, lams, B in solves:
-            assert B.shape == (len(K_tt), len(lams), K_tv.shape[1])
-            for b, lam in enumerate(lams):
-                residual = (K_tt + lam * np.eye(len(K_tt))) @ B[:, b, :] - K_tv
-                assert np.abs(residual).max() <= 1e-8
+        check_grid_solves()
 
         # A walk scores each trainable step with one RidgeFactor solve of
         # (K + lam*I) alpha = k; K and k are rebuilt here from the rows the
         # factor held and the features of the conjecture the step ranked.
+        # The walk's grid search checks its batch through the same
+        # _checked_solve; that batch is rechecked through the recorder above.
         factor_solves = []
 
         def recording_solve(solve, apply, rhs):
             alpha = checked_solve(solve, apply, rhs)
+            if rhs.ndim == 3:  # the grid search's (n_t, 1, n_v) right-hand side
+                return alpha
             factor = solve.__self__
             assert isinstance(factor, kernel.RidgeFactor)
             factor_solves.append((factor.rows, factor.spec, factor.lam, alpha))
@@ -166,8 +187,11 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
         corpus = load_corpus([f], d)
         for kind in ("gaussian", "linear"):
             factor_solves.clear()
+            solves.clear()
             report = run_incremental(corpus, KernelRidgeRanker(kind), n_values=[10])
             assert report.error_count == 0
+            assert solves
+            check_grid_solves()
             steps = [o for o in report.outcomes if not o.fallback]
             assert len(factor_solves) == len(steps) > 100
             for outcome, (rows, spec, lam, alpha) in zip(steps, factor_solves):

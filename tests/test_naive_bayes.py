@@ -11,6 +11,7 @@ import pytest
 from premsel.corpus import TrainingRow
 from premsel.errors import TrainingError
 from premsel.features import FeatureVector
+from premsel.kernel import KernelSpec, RidgeFactor
 from premsel.naive_bayes import NbCounts, nb_score, nb_train
 
 from helpers import nb_oracle_score, view_from_indices
@@ -197,10 +198,21 @@ class TestRunningCounts:
                              {p for p in range(pool) if rng.random() < 0.3}))
 
     def test_row_without_features_is_a_training_error(self):
+        # the check is RowState's, so the ridge factor gets it too; either
+        # state stays as it was
         view = _two_row_view()
+        bad = view.rows + (TrainingRow(2, None, frozenset({0})),)
         counts = NbCounts()
         counts.sync(view.rows)
         with pytest.raises(TrainingError):
-            counts.sync(view.rows + (TrainingRow(2, None, frozenset({0})),))
+            counts.sync(bad)
         reference = nb_score(nb_train(view), view.conjecture_features)
         assert _bits(counts.score(1, view.conjecture_features)) == _bits(reference)
+
+        factor = RidgeFactor()
+        factor.sync(view.rows, KernelSpec(), 1.0)
+        before = _bits(factor.score(1, view.conjecture_features))
+        with pytest.raises(TrainingError):
+            factor.sync(bad, KernelSpec(), 1.0)
+        assert factor.rows == view.rows
+        assert _bits(factor.score(1, view.conjecture_features)) == before

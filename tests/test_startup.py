@@ -47,7 +47,8 @@ def test_commands_without_numeric_work_never_run_numpy(tmp_path):
         ["--version"],
         ["emit", *corpus(), "--mode", "chainy", "--out-dir", str(tmp_path / "chainy")],
         ["emit", *corpus(), "--mode", "bushy", "--out-dir", str(tmp_path / "bushy")],
-        ["minimize", "--oracle-cmd", "sh -c 'cat >/dev/null'", "--ids", "a,b,c", "--batch"],
+        ["minimize", "--oracle-cmd", "sh -c 'cat >/dev/null'", "--ids", "a,b,c", "--batch",
+         "--trace-csv", str(tmp_path / "trace.csv")],
     ])
     assert state == {"codes": [0, 0, 0, 0], "numpy": False, "scipy": False}
 
