@@ -30,7 +30,10 @@ the grid search's batched solve, share one residual check,
 Everything here is numpy alone: Gram matrices are exact counts from
 feature posting lists, :class:`RidgeFactor` solves with matrix-vector
 products, and :func:`ridge_solve` factors with ``numpy.linalg``.  numpy
-runs on first use (see ``premsel._lazy``).
+runs on first use (see ``premsel._lazy``).  The grid search's shuffle
+is numpy's ``default_rng(seed).permutation`` stream (SeedSequence,
+PCG64, Fisher-Yates), computed by :func:`_permutation` without loading
+``numpy.random``, so premsel pins it whatever numpy is installed.
 """
 
 from __future__ import annotations
@@ -67,8 +70,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
-            raise ConfigError("gaussian kernel needs a finite sigma > 0")
+        # sigma^2 divides in the kernel: it must neither overflow nor underflow to 0
+        if self.kind == "gaussian" and not (0 < self.sigma and
+                                            0 < self.sigma * self.sigma < math.inf):
+            raise ConfigError(f"gaussian kernel needs a sigma > 0 whose square is finite and "
+                              f"nonzero, got {self.sigma!r}")
 
 
 def kernel_eval(spec: KernelSpec, a: FeatureVector, b: FeatureVector) -> float:
@@ -200,11 +206,13 @@ class RidgeFactor(RowState):
     time, in row order, also after a restart, so the factor of a row
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
-    up to rounding, with one solve per call.  When the conjecture just
-    scored has the same features as the next row appended, the append
-    reuses the score's kernel row ``k`` and forward solve ``L^-1 k`` and
-    computes only its diagonal entry; a row with other features reuses
-    the forward solve when its kernel row equals ``k`` bit for bit.
+    up to rounding, with one solve per call.  The next row appended
+    reuses the integer counts behind the score's kernel row ``k`` when
+    the features held by only one of the two are in no earlier row, as
+    when a walk appends the conjecture just scored, whose features are
+    the row's but for those first seen in it; the row's own size then
+    kernelizes them.  The append reuses the score's forward solve
+    ``L^-1 k`` when its kernel row equals ``k`` bit for bit.
 
     Rows are kept in blocks of :data:`BLOCK_ROWS`.  A block's panels are
     allocated once, when its first row arrives, and filled row by row,
@@ -225,7 +233,7 @@ class RidgeFactor(RowState):
         super()._reset(key)
         self.spec, self.lam = key or (None, None)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
-        self._scored: tuple | None = None   # (feature indices, k, L^-1 k) of the last score
+        self._scored: tuple | None = None   # (feature indices, counts, k, L^-1 k) of the last score
         self._sizes = array("d")            # feature count of each row
         self._rows_by_feature: dict[int, array] = {}
         self._use_rows = array("i")         # row of each (row, used premise) pair
@@ -237,21 +245,22 @@ class RidgeFactor(RowState):
         super().sync(rows, (spec, lam))
 
     def _append(self, i: int, row) -> None:
-        for f in row.features.indices:
-            self._rows_by_feature.setdefault(f, array("i")).append(i)
-        self._sizes.append(len(row.features))
+        features = row.features
         scored, self._scored = self._scored, None
-        if scored is not None and scored[0] == row.features.indices:
-            # the kernel row of the conjecture just scored, against the same
-            # i rows, is this row's but for the diagonal entry
-            size = [len(row.features)]
-            diagonal = _kernelize(self.spec, np.array([size], dtype=float), size, size)[0]
-            k = np.append(scored[1], diagonal)
+        # the features in one of the two only must be in no earlier row
+        reuse = scored is not None and not any(f in self._rows_by_feature for f in
+                                               set(scored[0]) ^ set(features.indices))
+        for f in features.indices:
+            self._rows_by_feature.setdefault(f, array("i")).append(i)
+        self._sizes.append(len(features))
+        if reuse:  # the score's counts against rows 0 … i-1, then this row's own
+            k = self._kernelized(np.append(scored[1], len(features)), len(features))
         else:
-            k = self._kernel_row(row.features, i + 1)
-            if scored is not None and scored[1].tobytes() != k[:i].tobytes():
-                scored = None
-        l = self._forward(k[:i]) if scored is None else scored[2]  # L[:i, :i] l = k[:i]
+            k = self._kernel_row(features, i + 1)
+        if scored is None or scored[2].tobytes() != k[:i].tobytes():
+            l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
+        else:
+            l = scored[3]
         pivot = k[i] + self.lam - l @ l
         if not pivot > 0:
             raise TrainingError(f"kernel matrix factorization failed: pivot {pivot:.3e} "
@@ -274,9 +283,13 @@ class RidgeFactor(RowState):
 
     def _kernel_row(self, features: FeatureVector, n: int) -> np.ndarray:
         """Kernel values of ``features`` against the first ``n`` rows."""
-        gram = _counts(self._rows_by_feature, features, n)
-        sizes = np.frombuffer(self._sizes, dtype=float)[:n]
-        return _kernelize(self.spec, gram[None, :].astype(float), [len(features)], sizes)[0]
+        return self._kernelized(_counts(self._rows_by_feature, features, n), len(features))
+
+    def _kernelized(self, counts: np.ndarray, size: int) -> np.ndarray:
+        """Kernel values of a vector with ``size`` features against the
+        first ``len(counts)`` rows, from its ``counts`` of shared features."""
+        sizes = np.frombuffer(self._sizes, dtype=float)[: len(counts)]
+        return _kernelize(self.spec, counts[None, :].astype(float), [size], sizes)[0]
 
     def _spans(self, n: int):
         """``(panels, lo, hi)`` for each block holding some of the first ``n`` rows."""
@@ -296,7 +309,7 @@ class RidgeFactor(RowState):
         return _scaled(solve, rhs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        _, k, y = self._scored
+        _, _, k, y = self._scored
         if rhs is not k:  # a refinement step's residual
             y = self._forward(rhs)
 
@@ -329,10 +342,11 @@ class RidgeFactor(RowState):
         n = len(self.rows)
         if not n:
             raise TrainingError("no training rows")
-        k = self._kernel_row(features, n)
+        counts = _counts(self._rows_by_feature, features, n)
+        k = self._kernelized(counts, len(features))
         # a non-finite solve is the residual check's to report, not numpy's
         with np.errstate(invalid="ignore", over="ignore"):
-            self._scored = (features.indices, k, self._forward(k))
+            self._scored = (features.indices, counts, k, self._forward(k))
             alpha = _checked_solve(self._solve, self._apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)
@@ -381,8 +395,11 @@ class GridSearchConfig:
     """Grids and split policy for hyperparameter search.
 
     The loss is fixed to square loss.  The split is a seeded uniform
-    shuffle by default; ``chronological=True`` instead trains on the
-    earliest rows and validates on the latest.
+    shuffle by default: the first ``split`` share of
+    ``numpy.random.default_rng(seed).permutation(n)``, the PCG64 stream
+    that premsel pins in :func:`_permutation`.  ``chronological=True``
+    instead trains on the earliest rows and validates on the latest.
+    Every sigma of ``sigma_grid`` must pass :class:`KernelSpec`'s check.
     """
 
     lambda_grid: tuple[float, ...] = LAMBDA_GRID_DEFAULT
@@ -394,8 +411,10 @@ class GridSearchConfig:
     def __post_init__(self):
         if not self.lambda_grid or not self.sigma_grid:
             raise ConfigError("hyperparameter grids must be nonempty")
-        if not all(0 < v < math.inf for v in (*self.lambda_grid, *self.sigma_grid)):
-            raise ConfigError("grid values must be finite and positive")
+        if not all(0 < v < math.inf for v in self.lambda_grid):
+            raise ConfigError("lambda grid values must be finite and positive")
+        for sigma in self.sigma_grid:
+            KernelSpec("gaussian", sigma)
         for name, grid in (("lambda", self.lambda_grid), ("sigma", self.sigma_grid)):
             repeated = [v for v in set(grid) if grid.count(v) > 1]
             if repeated:
@@ -438,6 +457,81 @@ def _ridge_columns(K_tt: np.ndarray, K_tv: np.ndarray, lams) -> np.ndarray:
     return _checked_solve(solve, apply, K_tv[:, None, :])
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _permutation(seed: int, n: int) -> list[int]:
+    """``numpy.random.default_rng(seed).permutation(n)`` as a list, bit for
+    bit, without loading ``numpy.random`` (which also loads ``secrets``
+    and ``hashlib``).  numpy does not promise that a ``Generator`` method
+    keeps its stream across numpy versions (NEP 19); this copy pins it.
+
+    Three steps, as numpy 2.x takes them: ``SeedSequence(seed)`` hashes
+    the seed's 32-bit words, least significant first, into a pool of four
+    words and draws four 64-bit words from it; PCG64, a 128-bit LCG with
+    XSL-RR output, is seeded with the first two as its state and the
+    last two as its increment; and a Fisher-Yates shuffle of ``0 … n-1``
+    swaps position ``i``, from ``n-1`` down to 1, with a ``j <= i`` drawn
+    by masked rejection from buffered 32-bit halves of the 64-bit outputs
+    (low half first), or from whole outputs when ``i`` exceeds 2^32 - 1.
+    """
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, seeds = 0x8B51F9DD, 0
+    for i in range(8):  # generate_state(4, uint64), as one 256-bit little-endian number
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _M32
+        value = value * mult & _M32
+        seeds |= (value ^ value >> 16) << 32 * i
+    # words 0, 1, 2, 3 of 64 bits: state = word0 * 2^64 + word1, increment from words 2, 3
+    initial = (seeds & _M64) << 64 | seeds >> 64 & _M64
+    inc = ((seeds >> 128 & _M64) << 64 | seeds >> 192) << 1 & _M128 | 1
+    lcg = 0x2360ED051FC65DA44385DF649FCCF645
+    state = ((inc + initial) * lcg + inc) & _M128
+    spare = None  # the high half of the last output, while not drawn yet
+
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if i <= _M32 and spare is not None:
+                j, spare = spare & mask, None
+            else:
+                state = (state * lcg + inc) & _M128
+                x, rot = (state >> 64 ^ state) & _M64, state >> 122
+                out = (x >> rot | x << (64 - rot)) & _M64
+                if i <= _M32:
+                    out, spare = out & _M32, out >> 32
+                j = out & mask
+            if j <= i:
+                break
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
     """Pick (lambda, kernel) minimizing validation loss; training on the
     full view is left to :func:`ridge_train`.  Ties go to the smaller
@@ -454,12 +548,10 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     n = len(view.rows)
     if n < 2:
         raise TrainingError("grid search needs at least 2 training rows")
-    order = np.arange(n)
-    if not config.chronological:
-        order = np.random.default_rng(config.seed).permutation(n)
+    order = range(n) if config.chronological else _permutation(config.seed, n)
     n_train = min(max(int(round(config.split * n)), 1), n - 1)
-    train_idx = np.sort(order[:n_train])
-    val_idx = np.sort(order[n_train:])
+    train_idx = np.array(sorted(order[:n_train]))
+    val_idx = np.array(sorted(order[n_train:]))
 
     vectors = [row.features for row in view.rows]
     Y = _label_matrix(view)

@@ -174,6 +174,8 @@ class TestEval:
         ["--smoothing", "nan"],
         ["--ranker", "mor", "--seed", "-1"],
         ["--ranker", "nb", "--seed", "-1"],
+        ["--ranker", "mor", "--sigma-grid", "1e200"],  # sigma^2 overflows
+        ["--ranker", "mor", "--sigma-grid", "1e-170"],  # sigma^2 underflows to 0
     ])
     def test_non_finite_hyperparameter_is_a_config_error(self, tmp_path, flags):
         out = tmp_path / "report"

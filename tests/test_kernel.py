@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from premsel import kernel
 from premsel.errors import ConfigError, TrainingError
 from premsel.features import FeatureVector
 from premsel.kernel import (
@@ -51,7 +52,8 @@ class TestKernelEval:
         assert kernel_eval(LINEAR, FeatureVector([1, 3]), FeatureVector([3, 7])) == 1.0
 
     def test_sigma_must_be_positive(self):
-        for sigma in (0.0, math.inf, math.nan):
+        # 1e200 squares to inf and 1e-170 to 0
+        for sigma in (0.0, -2.0, math.inf, math.nan, 1e200, 1e-170):
             with pytest.raises(ConfigError):
                 KernelSpec("gaussian", sigma)
         with pytest.raises(ConfigError):
@@ -315,14 +317,35 @@ class TestGridSearch:
             GridSearchConfig(split=1.5)
         with pytest.raises(ConfigError):
             GridSearchConfig(lambda_grid=())
-        with pytest.raises(ConfigError):
-            GridSearchConfig(sigma_grid=(1.0, -2.0))
+        for sigma in (-2.0, 1e200, 1e-170):
+            with pytest.raises(ConfigError):
+                GridSearchConfig(sigma_grid=(1.0, sigma))
         with pytest.raises(ConfigError):
             GridSearchConfig(lambda_grid=(1.0, math.inf))
         with pytest.raises(ConfigError, match="lambda grid repeats the value 1.0"):
             GridSearchConfig(lambda_grid=(1.0, 2.0, 1.0))
         with pytest.raises(ConfigError, match="sigma grid repeats the value 0.5"):
             GridSearchConfig(sigma_grid=(0.5, 0.5))
+
+
+class TestSplitPermutation:
+    """The grid search's split is numpy's ``default_rng(seed).permutation(n)``
+    stream, computed without ``numpy.random``."""
+
+    SEEDS = (*range(16), 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3, 2**96 - 1,
+             2**128, 2**130, 12345678901234567890, 3**90, 2**200 + 1)
+    SIZES = (*range(1, 34), 63, 64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
+             2047, 2048, 2049, 2078)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy(self, seed):
+        for n in self.SIZES:
+            expected = np.random.default_rng(seed).permutation(n).tolist()
+            assert kernel._permutation(seed, n) == expected, (seed, n)
+
+    def test_sizes_one_to_2078_at_one_seed(self):
+        for n in range(1, 2079):
+            assert kernel._permutation(1, n) == np.random.default_rng(1).permutation(n).tolist()
 
 
 def _reference_grid_search(view, kernel_kind, config):
@@ -620,7 +643,7 @@ class TestRidgeFactorBlocks:
                 walked.score(6, view.rows[n].features)
 
     def test_appending_the_row_just_scored_reuses_its_forward_solve(self, monkeypatch):
-        view = _random_view(np.random.default_rng(21), BLOCK_ROWS + 2)
+        view = _random_view(np.random.default_rng(21), BLOCK_ROWS + 3)
         n = BLOCK_ROWS
         factor = RidgeFactor()
         factor.sync(view.rows[:n], GAUSS, 0.5)
@@ -632,21 +655,31 @@ class TestRidgeFactorBlocks:
             return forward(self, rhs)
 
         monkeypatch.setattr(RidgeFactor, "_forward", counted)
-        kernel_rows = []
-        kernel_row = RidgeFactor._kernel_row
+        counted_rows = []
+        counts = kernel._counts
 
-        def counted_rows(self, features, n):
-            kernel_rows.append(n)
-            return kernel_row(self, features, n)
+        def counted_counts(postings, features, n):
+            counted_rows.append(n)
+            return counts(postings, features, n)
 
-        monkeypatch.setattr(RidgeFactor, "_kernel_row", counted_rows)
+        monkeypatch.setattr(kernel, "_counts", counted_counts)
         factor.score(6, view.rows[n].features)
         factor.sync(view.rows[: n + 1], GAUSS, 0.5)  # the scored kernel row: reused
-        # one more feature changes every gaussian kernel value
+        # feature 99 is in no row: the counts are reused, but one more
+        # feature changes every gaussian kernel value, so the solve is not
         factor.score(6, FeatureVector([*view.rows[n + 1].features, 99]))
-        factor.sync(view.rows[: n + 2], GAUSS, 0.5)  # another kernel row: solved afresh
-        assert solved == [n, n + 1, n + 1]
-        assert kernel_rows == [n, n + 1, n + 2]
+        factor.sync(view.rows[: n + 2], GAUSS, 0.5)
+        # a feature of earlier rows that the row lacks: counted afresh
+        seen = {f for row in view.rows[: n + 2] for f in row.features.indices}
+        extra = min(seen - set(view.rows[n + 2].features.indices))
+        factor.score(6, FeatureVector([*view.rows[n + 2].features, extra]))
+        factor.sync(view.rows[: n + 3], GAUSS, 0.5)
+        assert solved == [n, n + 1, n + 1, n + 2, n + 2]
+        assert counted_rows == [n, n + 1, n + 2, n + 3]
+        fresh = RidgeFactor()
+        fresh.sync(view.rows[: n + 3], GAUSS, 0.5)
+        assert ([s.hex() for s in factor.score(6, view.conjecture_features)]
+                == [s.hex() for s in fresh.score(6, view.conjecture_features)])
 
     def test_other_features_with_the_same_kernel_row_reuse_the_forward_solve(self, monkeypatch):
         view = _random_view(np.random.default_rng(22), BLOCK_ROWS + 1)

@@ -1,4 +1,5 @@
-"""Start-up cost: commands that do no numeric work never execute numpy.
+"""Start-up cost: commands that do no numeric work never execute numpy,
+and no command loads ``numpy.random``.
 
 Each check runs in a fresh interpreter, since the test process itself
 has numpy loaded.  ``numpy._core`` appears in ``sys.modules`` only once
@@ -18,6 +19,7 @@ TOY = ROOT / "data" / "toy"
 SCRIPT = """\
 import json, sys
 import premsel.cli
+RANDOM = ("numpy.random", "secrets", "hashlib")
 codes = []
 for argv in json.loads(sys.argv[1]):
     try:
@@ -27,7 +29,8 @@ for argv in json.loads(sys.argv[1]):
         codes.append(exc.code)
 print(json.dumps({"codes": codes,
                   "numpy": "numpy._core" in sys.modules,
-                  "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}))
+                  "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+                  "random": [m for m in RANDOM if m in sys.modules]}))
 """
 
 
@@ -50,9 +53,18 @@ def test_commands_without_numeric_work_never_run_numpy(tmp_path):
         ["minimize", "--oracle-cmd", "sh -c 'cat >/dev/null'", "--ids", "a,b,c", "--batch",
          "--trace-csv", str(tmp_path / "trace.csv")],
     ])
-    assert state == {"codes": [0, 0, 0, 0], "numpy": False, "scipy": False}
+    assert state == {"codes": [0, 0, 0, 0], "numpy": False, "scipy": False, "random": []}
 
 
 def test_naive_bayes_eval_runs_numpy_but_not_scipy(tmp_path):
     state = run_in_child([["eval", *corpus(), "--ranker", "nb", "--out-dir", str(tmp_path)]])
-    assert state == {"codes": [0], "numpy": True, "scipy": False}
+    assert state == {"codes": [0], "numpy": True, "scipy": False, "random": []}
+
+
+def test_kernel_ridge_commands_never_load_numpy_random(tmp_path):
+    # numpy.random would also load secrets and hashlib, with OpenSSL
+    state = run_in_child([
+        ["eval", *corpus(), "--ranker", "mor", "--out-dir", str(tmp_path / "eval")],
+        ["rank", *corpus(), "--ranker", "mor", "--conjecture", "th_plus_succ"],
+    ])
+    assert state == {"codes": [0, 0], "numpy": True, "scipy": False, "random": []}
