@@ -115,10 +115,11 @@ class NaiveBayesRanker:
 class KernelRidgeRanker:
     """Multi-output ridge ranker ("mor") with grid-searched parameters.
 
-    ``regrid="always"`` searches (lambda, sigma) on every view.
-    ``regrid="once"`` searches on the first trainable view of the walk,
-    which every later view contains: the first two training rows and
-    the pool up to the second of them.  Views with fewer than two rows
+    One rule picks the rows of a view's (lambda, sigma) search: its first
+    two under ``regrid="once"``, all of them under ``"always"``, with the
+    pool cut after the last.  A search is kept for the next view with the
+    same searched rows, so under ``once``, whose rows every later view
+    begins with, it runs once per walk.  Views with fewer than two rows
     or an empty pool cannot be trained and get chronological fallback
     advice.
 
@@ -142,22 +143,25 @@ class KernelRidgeRanker:
         self.kernel_kind = kernel_kind
         self.grid = grid if grid is not None else GridSearchConfig()
         self.regrid = regrid
-        # the regrid="once" search and the first two rows it was made from
-        self.search: GridSearchResult | None = None
-        self._search_rows: tuple = ()
+        # the last search and the rows it was made from
+        self._searched: GridSearchResult | None = None
+        self._searched_rows: tuple = ()
         self.factor = RidgeFactor()
 
+    @property
+    def search(self) -> GridSearchResult | None:
+        """The walk's one search under ``regrid="once"``, else ``None``."""
+        return self._searched if self.regrid == "once" else None
+
     def _search(self, view: TrainingView) -> GridSearchResult:
-        if self.regrid == "always":
-            return grid_search(view, self.kernel_kind, self.grid)
-        first = view.rows[:2]
+        rows = view.rows[:2] if self.regrid == "once" else view.rows
         # A tuple compare of the corpus's shared rows: mostly identity checks.
-        if first != self._search_rows:
-            pool = view.premise_ids[: first[1].position + 1]
-            self.search = grid_search(dataclasses.replace(view, rows=first, premise_ids=pool),
-                                      self.kernel_kind, self.grid)
-            self._search_rows = first
-        return self.search
+        if rows != self._searched_rows:
+            pool = view.premise_ids[: rows[-1].position + 1]
+            self._searched = grid_search(dataclasses.replace(view, rows=rows, premise_ids=pool),
+                                         self.kernel_kind, self.grid)
+            self._searched_rows = rows
+        return self._searched
 
     def advise(self, view: TrainingView) -> RankedAdvice:
         if len(view.rows) < 2 or not view.premise_ids:

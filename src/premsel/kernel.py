@@ -9,10 +9,11 @@ positive-definite factorization.  A conjecture is scored as
 ``A^T k`` where ``k`` holds its kernel values against the training
 rows.  Hyperparameters come from a seeded 70/30 grid search, which needs
 only the validation predictions ``K_vt (K_tt + lam*I)^-1 Y_train``: it
-solves for the validation columns ``K_tv``, not for one column per
-premise, takes one eigendecomposition of ``K_tt`` per sigma to serve
-every lambda, and checks those solves as one batch against the residual
-bound.
+kernelizes one Gram matrix of all rows against the training rows once
+per sigma, solves for the validation columns ``K_tv``, not for one
+column per premise, takes one eigendecomposition of ``K_tt`` per sigma
+to serve every lambda, checks those solves as one batch against the
+residual bound, and picks the first minimum of the loss table.
 
 The same scores have a dual form, ``A^T k = Y^T alpha`` with
 ``alpha = (K + lam*I)^-1 k``: one right-hand side per conjecture
@@ -110,7 +111,9 @@ def _kernelize(spec: KernelSpec, gram: np.ndarray, row_sizes, col_sizes) -> np.n
         return gram
     d = np.asarray(row_sizes, dtype=float)[:, None]
     e = np.asarray(col_sizes, dtype=float)[None, :]
-    return np.exp(-(d - 2.0 * gram + e) / (spec.sigma**2))
+    # a subnormal sigma^2 takes distinct vectors' exponent to -inf, their kernel to 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(d - 2.0 * gram + e) / (spec.sigma**2))
 
 
 def build_kernel_matrix(spec: KernelSpec, vectors) -> np.ndarray:
@@ -534,13 +537,16 @@ def _permutation(seed: int, n: int) -> list[int]:
 
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
     """Pick (lambda, kernel) minimizing validation loss; training on the
-    full view is left to :func:`ridge_train`.  Ties go to the smaller
-    lambda, then smaller sigma.
+    full view is left to :func:`ridge_train`.
 
     The loss of a point is ``|K_vt (K_tt + lam*I)^-1 Y_train - Y_val|^2``,
     computed as ``B^T Y_train - Y_val`` with ``B = (K_tt + lam*I)^-1 K_tv``:
-    one right-hand side per validation row, not one per premise, and one
-    eigendecomposition per sigma serves every lambda."""
+    one right-hand side per validation row, not one per premise.  The
+    Gram matrix of the training, then the validation rows against the
+    training rows is kernelized once per sigma into ``K_tt`` over
+    ``K_vt``, and one eigendecomposition of ``K_tt`` serves every lambda.
+    The table runs lambda by lambda, sigma by sigma within each; its first
+    minimum is chosen, so ties go to the smaller lambda, then sigma."""
     if kernel_kind == "gaussian":
         specs = [KernelSpec(kernel_kind, sigma) for sigma in sorted(config.sigma_grid)]
     else:
@@ -550,40 +556,25 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
         raise TrainingError("grid search needs at least 2 training rows")
     order = range(n) if config.chronological else _permutation(config.seed, n)
     n_train = min(max(int(round(config.split * n)), 1), n - 1)
-    train_idx = np.array(sorted(order[:n_train]))
-    val_idx = np.array(sorted(order[n_train:]))
-
-    vectors = [row.features for row in view.rows]
-    Y = _label_matrix(view)
-    Y_train, Y_val = Y[train_idx], Y[val_idx]
-
-    # Entries are exact counts, so slicing one Gram matrix gives the same
-    # blocks as building each block on its own.
-    gram = _gram(vectors, [vectors[i] for i in train_idx])
-    gram_tt, gram_vt = gram[train_idx], gram[val_idx]
-    sizes = np.array([len(v) for v in vectors])
-    sizes_t, sizes_v = sizes[train_idx], sizes[val_idx]
+    # the training rows, then the validation rows, each in view order
+    split = sorted(order[:n_train]) + sorted(order[n_train:])
+    Y = _label_matrix(view)[split]
+    Y_train, Y_val = Y[:n_train], Y[n_train:]
+    vectors = [view.rows[i].features for i in split]
+    gram = _gram(vectors, vectors[:n_train])
+    sizes = [len(v) for v in vectors]
 
     lams = sorted(config.lambda_grid)
     losses = np.empty((len(lams), len(specs)))
     for s, spec in enumerate(specs):
-        K_tt = _kernelize(spec, gram_tt, sizes_t, sizes_t)
-        K_vt = _kernelize(spec, gram_vt, sizes_v, sizes_t)
-        B = _ridge_columns(K_tt, K_vt.T, lams)
+        K = _kernelize(spec, gram, sizes, sizes[:n_train])
+        B = _ridge_columns(K[:n_train], K[n_train:].T, lams)
         for j in range(len(lams)):
             losses[j, s] = ((B[:, j, :].T @ Y_train - Y_val) ** 2).sum()
-        del B  # freed before the next sigma's is built, which keeps peak memory down
+        del K, B  # freed before the next sigma's are built, which keeps peak memory down
 
-    table: list[tuple[float, float | None, float]] = []
-    best: tuple[float, KernelSpec] | None = None
-    best_loss = math.inf
-    for j, lam in enumerate(lams):
-        for s, spec in enumerate(specs):
-            loss = float(losses[j, s])
-            table.append((lam, spec.sigma if spec.kind == "gaussian" else None, loss))
-            if loss < best_loss:
-                best_loss = loss
-                best = (lam, spec)
-    assert best is not None
-    return GridSearchResult(*best, table)
-
+    j, s = np.unravel_index(losses.argmin(), losses.shape)
+    sigmas = [spec.sigma if spec.kind == "gaussian" else None for spec in specs]
+    table = [(lam, sigma, loss) for lam, row in zip(lams, losses.tolist())
+             for sigma, loss in zip(sigmas, row)]
+    return GridSearchResult(lams[j], specs[s], table)

@@ -184,6 +184,18 @@ class TestEval:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("python_flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+    def test_a_sigma_whose_square_is_subnormal_runs_without_a_warning(self, tmp_path,
+                                                                     python_flags):
+        # 1e-160 squares to about 1e-320: the gaussian kernel of distinct
+        # vectors is 0, the limit, and no numpy overflow warning is printed
+        result = subprocess.run(
+            [sys.executable, *python_flags, "-m", "premsel", "eval", *map(str, toy_args()),
+             "--ranker", "mor", "--sigma-grid", "1e-160", "--out-dir", str(tmp_path / "report")],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
     @pytest.mark.parametrize("flags, message", [
         (["--lambda-grid", "1,1.0", "--sigma-grid", "2,2"], "lambda grid repeats the value 1.0"),
         (["--lambda-grid", "1,2", "--sigma-grid", "2,3,2.0"], "sigma grid repeats the value 2.0"),

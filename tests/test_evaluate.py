@@ -304,6 +304,22 @@ class TestKernelRidgeRanker:
         trainable = sum(not o.fallback for o in report.outcomes)
         assert len(calls) == (1 if regrid == "once" else trainable)
 
+    def test_regrid_always_searches_a_repeated_view_once(self, tmp_path, monkeypatch):
+        view = self._planted(tmp_path).training_view(40)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return grid_search(*args)
+
+        monkeypatch.setattr(evaluate, "grid_search", counted)
+        ranker = KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(0.5, 2.0)),
+                                   regrid="always")
+        assert ranker.advise(view) == ranker.advise(view)
+        assert len(calls) == 1
+        assert calls[0][0].rows == view.rows
+        assert ranker.search is None
+
     def test_regrid_once_does_not_depend_on_the_selection(self, tmp_path):
         # The search runs on the first trainable view of the walk however
         # few conjectures are selected, so one conjecture's advice, or a

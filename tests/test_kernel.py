@@ -4,11 +4,13 @@ search, checked against finite-difference and eigenvalue oracles."""
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from premsel import kernel
+from premsel.corpus import load_corpus
 from premsel.errors import ConfigError, TrainingError
 from premsel.features import FeatureVector
 from premsel.kernel import (
@@ -28,11 +30,14 @@ from premsel.kernel import (
 )
 
 from helpers import (
+    planted_corpus_text,
     random_vectors,
     reference_gram,
+    rich_corpus_text,
     ridge_fd_gradient,
     ridge_objective,
     view_from_indices,
+    write_corpus,
 )
 
 GAUSS = KernelSpec("gaussian", 1.0)
@@ -92,6 +97,16 @@ class TestKernelMatrix:
             np.testing.assert_array_equal(np.diag(m), np.ones(len(rows)))
             eigenvalues = np.linalg.eigvalsh(m)
             assert eigenvalues.min() >= -1e-8 * np.trace(m)
+
+    def test_a_subnormal_sigma_square_gives_the_identity_without_a_warning(self):
+        # 1e-160 squares to about 1e-320, a subnormal: the exponent of two
+        # distinct vectors overflows to -inf and their kernel value is 0
+        rows = [FeatureVector([0]), FeatureVector([0, 1]), FeatureVector([2]), FeatureVector([])]
+        sizes = [len(v) for v in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = kernel._kernelize(KernelSpec("gaussian", 1e-160), _gram(rows, rows), sizes, sizes)
+        np.testing.assert_array_equal(m, np.eye(len(rows)))
 
 
 class TestRidgeSolve:
@@ -413,6 +428,42 @@ class TestGridSearchAgainstReference:
         view = _random_view(np.random.default_rng(23), 10, pool=0)
         result = _assert_matches_reference(view, kernel_kind, GridSearchConfig(seed=3))
         assert {loss for _, _, loss in result.table} == {0.0}
+
+
+class TestGridSearchPoolCut:
+    """Premises past the last training row are label columns of zeros.
+    ``KernelRidgeRanker`` searches on the pool cut after that row, and the
+    cut moves no chosen point.  It can move a loss by rounding:
+    the sum of squares then adds its terms in another order."""
+
+    @pytest.mark.parametrize("corpus_text", [planted_corpus_text, rich_corpus_text],
+                             ids=["planted", "rich"])
+    def test_the_cut_keeps_the_point_and_the_losses_to_rounding(self, tmp_path, corpus_text):
+        cut_premises = 0
+        for seed in (1, 2):
+            directory = tmp_path / f"seed{seed}"
+            directory.mkdir()
+            formulas, deps = write_corpus(directory, *corpus_text(
+                n_items=70, n_topics=4, feats_per_topic=6, seed=seed))
+            corpus = load_corpus([formulas], deps)
+            for position in range(14, len(corpus), 5):
+                view = corpus.training_view(position)
+                # a prefix of the rows, as a search of fewer rows than the view's
+                rows = view.rows[: 2 + position % (len(view.rows) - 1)]
+                full = dataclasses.replace(view, rows=rows)
+                cut = dataclasses.replace(view, rows=rows,
+                                          premise_ids=view.premise_ids[: rows[-1].position + 1])
+                cut_premises += len(full.premise_ids) - len(cut.premise_ids)
+                for kind in ("gaussian", "linear"):
+                    for chronological in (False, True):
+                        config = GridSearchConfig(seed=seed, chronological=chronological)
+                        got, want = grid_search(cut, kind, config), grid_search(full, kind, config)
+                        assert (got.best_lambda, got.best_kernel) == (want.best_lambda,
+                                                                      want.best_kernel)
+                        assert [row[:2] for row in got.table] == [row[:2] for row in want.table]
+                        for (_, _, a), (_, _, b) in zip(got.table, want.table):
+                            assert a == pytest.approx(b, rel=1e-14, abs=0)
+        assert cut_premises > 100
 
 
 def _shift_eigenvalues(monkeypatch, shift):
