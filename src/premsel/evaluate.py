@@ -129,9 +129,9 @@ class KernelRidgeRanker:
     same, and restarts the factor when it changes.  The factor appends
     rows one at a time either way, so advice is a function of the view
     alone.  In a walk a theorem is scored as a conjecture one step
-    before its row is appended, so the append reuses the score's feature
-    counts, and also its forward solve unless the conjecture's features,
-    cut to those seen before it, differ from the row's.
+    before its row is appended, so the append reuses the score's forward
+    solve when the two kernel rows are equal bit for bit, as when the
+    conjecture's features, cut to those seen before it, are the row's.
     Search and factor run on numpy alone.
     """
 

@@ -210,12 +210,10 @@ class RidgeFactor(RowState):
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
     up to rounding, with one solve per call.  The next row appended
-    reuses the integer counts behind the score's kernel row ``k`` when
-    the features held by only one of the two are in no earlier row, as
-    when a walk appends the conjecture just scored, whose features are
-    the row's but for those first seen in it; the row's own size then
-    kernelizes them.  The append reuses the score's forward solve
-    ``L^-1 k`` when its kernel row equals ``k`` bit for bit.
+    reuses the score's forward solve ``L^-1 k`` when its kernel row equals
+    the score's ``k`` bit for bit, as when a walk appends the conjecture
+    just scored and its features, cut to those seen before it, are the
+    row's.
 
     Rows are kept in blocks of :data:`BLOCK_ROWS`.  A block's panels are
     allocated once, when its first row arrives, and filled row by row,
@@ -236,7 +234,7 @@ class RidgeFactor(RowState):
         super()._reset(key)
         self.spec, self.lam = key or (None, None)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
-        self._scored: tuple | None = None   # (feature indices, counts, k, L^-1 k) of the last score
+        self._scored: tuple | None = None   # (k, L^-1 k) of the last score
         self._sizes = array("d")            # feature count of each row
         self._rows_by_feature: dict[int, array] = {}
         self._use_rows = array("i")         # row of each (row, used premise) pair
@@ -250,20 +248,14 @@ class RidgeFactor(RowState):
     def _append(self, i: int, row) -> None:
         features = row.features
         scored, self._scored = self._scored, None
-        # the features in one of the two only must be in no earlier row
-        reuse = scored is not None and not any(f in self._rows_by_feature for f in
-                                               set(scored[0]) ^ set(features.indices))
         for f in features.indices:
             self._rows_by_feature.setdefault(f, array("i")).append(i)
         self._sizes.append(len(features))
-        if reuse:  # the score's counts against rows 0 … i-1, then this row's own
-            k = self._kernelized(np.append(scored[1], len(features)), len(features))
-        else:
-            k = self._kernel_row(features, i + 1)
-        if scored is None or scored[2].tobytes() != k[:i].tobytes():
+        k = self._kernel_row(features, i + 1)
+        if scored is None or scored[0].tobytes() != k[:i].tobytes():
             l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
         else:
-            l = scored[3]
+            l = scored[1]
         pivot = k[i] + self.lam - l @ l
         if not pivot > 0:
             raise TrainingError(f"kernel matrix factorization failed: pivot {pivot:.3e} "
@@ -286,13 +278,9 @@ class RidgeFactor(RowState):
 
     def _kernel_row(self, features: FeatureVector, n: int) -> np.ndarray:
         """Kernel values of ``features`` against the first ``n`` rows."""
-        return self._kernelized(_counts(self._rows_by_feature, features, n), len(features))
-
-    def _kernelized(self, counts: np.ndarray, size: int) -> np.ndarray:
-        """Kernel values of a vector with ``size`` features against the
-        first ``len(counts)`` rows, from its ``counts`` of shared features."""
-        sizes = np.frombuffer(self._sizes, dtype=float)[: len(counts)]
-        return _kernelize(self.spec, counts[None, :].astype(float), [size], sizes)[0]
+        counts = _counts(self._rows_by_feature, features, n)
+        sizes = np.frombuffer(self._sizes, dtype=float)[:n]
+        return _kernelize(self.spec, counts[None, :].astype(float), [len(features)], sizes)[0]
 
     def _spans(self, n: int):
         """``(panels, lo, hi)`` for each block holding some of the first ``n`` rows."""
@@ -312,7 +300,7 @@ class RidgeFactor(RowState):
         return _scaled(solve, rhs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        _, _, k, y = self._scored
+        k, y = self._scored
         if rhs is not k:  # a refinement step's residual
             y = self._forward(rhs)
 
@@ -345,11 +333,10 @@ class RidgeFactor(RowState):
         n = len(self.rows)
         if not n:
             raise TrainingError("no training rows")
-        counts = _counts(self._rows_by_feature, features, n)
-        k = self._kernelized(counts, len(features))
+        k = self._kernel_row(features, n)
         # a non-finite solve is the residual check's to report, not numpy's
         with np.errstate(invalid="ignore", over="ignore"):
-            self._scored = (features.indices, counts, k, self._forward(k))
+            self._scored = (k, self._forward(k))
             alpha = _checked_solve(self._solve, self._apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)
@@ -476,7 +463,8 @@ def _permutation(seed: int, n: int) -> list[int]:
     last two as its increment; and a Fisher-Yates shuffle of ``0 … n-1``
     swaps position ``i``, from ``n-1`` down to 1, with a ``j <= i`` drawn
     by masked rejection from buffered 32-bit halves of the 64-bit outputs
-    (low half first), or from whole outputs when ``i`` exceeds 2^32 - 1.
+    (low half first).  ``n`` is at most 2^32, so every ``i`` fits in 32
+    bits.
     """
     words = [seed & _M32]
     while seed > _M32:
@@ -520,15 +508,13 @@ def _permutation(seed: int, n: int) -> list[int]:
     for i in range(n - 1, 0, -1):
         mask = (1 << i.bit_length()) - 1
         while True:
-            if i <= _M32 and spare is not None:
+            if spare is not None:
                 j, spare = spare & mask, None
             else:
                 state = (state * lcg + inc) & _M128
                 x, rot = (state >> 64 ^ state) & _M64, state >> 122
                 out = (x >> rot | x << (64 - rot)) & _M64
-                if i <= _M32:
-                    out, spare = out & _M32, out >> 32
-                j = out & mask
+                j, spare = out & mask, out >> 32
             if j <= i:
                 break
         order[i], order[j] = order[j], order[i]

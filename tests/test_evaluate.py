@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from premsel import evaluate
+from premsel import evaluate, kernel
 from premsel.corpus import load_corpus
 from premsel.errors import ConfigError, TrainingError
 from premsel.evaluate import (
@@ -428,6 +428,44 @@ class TestKernelRidgeFactorPath:
         for ranker in (*rankers, rankers[0]):
             fresh = KernelRidgeRanker(grid=ranker.grid).advise(view)
             assert self._bits(ranker.advise(view)) == self._bits(fresh)
+
+    def test_a_walk_counts_each_kernel_row_once_and_reuses_equal_ones(self, tmp_path,
+                                                                       monkeypatch):
+        formulas, deps = planted_corpus_text(n_items=80, n_topics=6, feats_per_topic=8, seed=2)
+        f, d = write_corpus(tmp_path, formulas, deps)
+        corpus = load_corpus([f], d)
+        log = []
+
+        def spy(name, method):
+            def call(*args):
+                log.append((name, args[-1]))
+                return method(*args)
+            return call
+
+        monkeypatch.setattr(kernel, "_counts", spy("counts", kernel._counts))
+        monkeypatch.setattr(RidgeFactor, "_forward", spy("forward", RidgeFactor._forward))
+        monkeypatch.setattr(RidgeFactor, "_append", spy("append", RidgeFactor._append))
+        monkeypatch.setattr(RidgeFactor, "score", spy("score", RidgeFactor.score))
+        assert run_incremental(corpus, KernelRidgeRanker(), n_values=[5]).error_count == 0
+        # [name, row or features, _counts calls, _forward calls] per append
+        # or score; the grid search's counts come before the first of them
+        calls = []
+        for name, arg in log:
+            if name in ("append", "score"):
+                calls.append([name, arg, 0, 0])
+            elif calls:
+                calls[-1][2 if name == "counts" else 3] += 1
+        assert [counted for *_, counted, _ in calls] == [1] * len(calls)
+        # forward solves of each append right after a score, by row position
+        after_score = {row.position: forwards for (last, *_), (name, row, _, forwards)
+                       in zip(calls, calls[1:]) if last == "score" and name == "append"}
+        # theorems whose features were all seen before them: scored as a
+        # conjecture, such a theorem has its row's features and kernel row
+        whole = {p for p in after_score
+                 if corpus.training_view(p).conjecture_features == corpus.rows[p].features}
+        assert whole and after_score.keys() - whole
+        # a conjecture cut to fewer features has another gaussian kernel row
+        assert after_score == {p: int(p not in whole) for p in after_score}
 
     @pytest.mark.parametrize("regrid", ["once", "always"])
     def test_a_non_positive_pivot_is_a_step_error(self, tmp_path, monkeypatch, regrid):

@@ -694,7 +694,7 @@ class TestRidgeFactorBlocks:
                 walked.score(6, view.rows[n].features)
 
     def test_appending_the_row_just_scored_reuses_its_forward_solve(self, monkeypatch):
-        view = _random_view(np.random.default_rng(21), BLOCK_ROWS + 3)
+        view = _random_view(np.random.default_rng(21), BLOCK_ROWS + 2)
         n = BLOCK_ROWS
         factor = RidgeFactor()
         factor.sync(view.rows[:n], GAUSS, 0.5)
@@ -706,29 +706,15 @@ class TestRidgeFactorBlocks:
             return forward(self, rhs)
 
         monkeypatch.setattr(RidgeFactor, "_forward", counted)
-        counted_rows = []
-        counts = kernel._counts
-
-        def counted_counts(postings, features, n):
-            counted_rows.append(n)
-            return counts(postings, features, n)
-
-        monkeypatch.setattr(kernel, "_counts", counted_counts)
         factor.score(6, view.rows[n].features)
         factor.sync(view.rows[: n + 1], GAUSS, 0.5)  # the scored kernel row: reused
-        # feature 99 is in no row: the counts are reused, but one more
-        # feature changes every gaussian kernel value, so the solve is not
+        # feature 99 is in no row, but one more feature changes every
+        # gaussian kernel value, so the forward solve is not reused
         factor.score(6, FeatureVector([*view.rows[n + 1].features, 99]))
         factor.sync(view.rows[: n + 2], GAUSS, 0.5)
-        # a feature of earlier rows that the row lacks: counted afresh
-        seen = {f for row in view.rows[: n + 2] for f in row.features.indices}
-        extra = min(seen - set(view.rows[n + 2].features.indices))
-        factor.score(6, FeatureVector([*view.rows[n + 2].features, extra]))
-        factor.sync(view.rows[: n + 3], GAUSS, 0.5)
-        assert solved == [n, n + 1, n + 1, n + 2, n + 2]
-        assert counted_rows == [n, n + 1, n + 2, n + 3]
+        assert solved == [n, n + 1, n + 1]
         fresh = RidgeFactor()
-        fresh.sync(view.rows[: n + 3], GAUSS, 0.5)
+        fresh.sync(view.rows[: n + 2], GAUSS, 0.5)
         assert ([s.hex() for s in factor.score(6, view.conjecture_features)]
                 == [s.hex() for s in fresh.score(6, view.conjecture_features)])
 
