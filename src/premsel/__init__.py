@@ -37,7 +37,6 @@ from .kernel import (
     ridge_train,
 )
 from .minimize import (
-    CountingOracle,
     MinimizationResult,
     SubprocessOracle,
     batch_minimize,
@@ -56,7 +55,7 @@ __all__ = [
     "GridSearchConfig", "GridSearchResult", "KernelSpec", "RidgeModel",
     "build_kernel_matrix", "grid_search", "kernel_eval", "ridge_score", "ridge_solve",
     "ridge_train",
-    "CountingOracle", "MinimizationResult", "SubprocessOracle", "batch_minimize",
+    "MinimizationResult", "SubprocessOracle", "batch_minimize",
     "greedy_minimize",
     "NbModel", "nb_score", "nb_train",
 ]

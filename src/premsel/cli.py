@@ -39,7 +39,6 @@ from .errors import ConfigError, CorpusError, FofSyntaxError, PremselError
 from .evaluate import (
     KernelRidgeRanker,
     NaiveBayesRanker,
-    advise_each,
     chronological_fallback,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
     emit_problems,
     report_csv,
@@ -216,9 +215,7 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
     corpus = _load(formula_paths, dep_path)
     if conjecture not in corpus:
         raise ConfigError(f"unknown conjecture id {conjecture!r}")
-    (advice,) = advise_each(corpus, engine, [corpus.position_of(conjecture)], row_roles)
-    if isinstance(advice, PremselError):
-        raise advice
+    advice = engine.advise(corpus.training_view(corpus.position_of(conjecture), row_roles))
     if advice.fallback:
         click.echo("note: pool not trainable, advice is chronological", err=True)
     n = top_n
@@ -235,15 +232,13 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
         out.mkdir(parents=True, exist_ok=True)
         top = zip(advice.premise_ids[:n], advice.scores[:n])
         write_csv(out / "advice.csv", ["rank", "premise_id", "score"],
-                  ([i, pid, repr(score)] for i, (pid, score) in enumerate(top)))
+                  ([i, *row] for i, row in enumerate(top)))
         _write_metadata(out_dir, "rank")
 
 
 def write_loss_table(table, path) -> None:
     """Emit the grid-search loss table as CSV (lambda, sigma, loss)."""
-    write_csv(path, ["lambda", "sigma", "validation_loss"],
-              ([repr(lam), "" if sigma is None else repr(sigma), repr(loss)]
-               for lam, sigma, loss in table))
+    write_csv(path, ["lambda", "sigma", "validation_loss"], table)
 
 
 @cli.command("eval")
@@ -364,6 +359,8 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
         raise ConfigError("--order reverse applies to the greedy pass only, not to --batch")
     if trace_csv is not None and not Path(trace_csv).parent.is_dir():
         raise ConfigError(f"--trace-csv {trace_csv}: {Path(trace_csv).parent} is not a directory")
+    if trace_csv is not None and Path(trace_csv).is_dir():
+        raise ConfigError(f"--trace-csv {trace_csv}: is a directory")
     _check_out_dir(out_dir)
     oracle = SubprocessOracle(command, timeout=oracle_timeout)
     if batch:

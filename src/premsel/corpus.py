@@ -54,12 +54,7 @@ class TrainingView:
     premise_ids: tuple[str, ...]
     rows: tuple[TrainingRow, ...]
     conjecture_id: str
-    conjecture_position: int
     conjecture_features: FeatureVector
-
-    @property
-    def pool_size(self) -> int:
-        return len(self.premise_ids)
 
 
 class RowState:
@@ -126,9 +121,6 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown item identifier {identifier!r}") from None
 
-    def entry(self, identifier: str) -> CorpusEntry:
-        return self.entries[self.position_of(identifier)]
-
     def ensure_featurized(self) -> None:
         """Featurize every entry in one chronological pass; run once, by
         the constructor.
@@ -167,7 +159,6 @@ class Corpus:
             premise_ids=self._names[:position],
             rows=rows[:bisect_left(positions, position)],
             conjecture_id=self._names[position],
-            conjecture_position=position,
             conjecture_features=FeatureVector(
                 i for i in self.rows[position].features.indices if i < known
             ),

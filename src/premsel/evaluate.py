@@ -182,7 +182,6 @@ class ConjectureOutcome:
     # n -> recall value; None when the dependency set is empty
     recalls: dict[int, float] | None
     error: str | None = None
-    advice: RankedAdvice | None = None
 
 
 @dataclass(frozen=True)
@@ -221,24 +220,6 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
     return positions
 
 
-def advise_each(corpus: Corpus, ranker, positions, row_roles=("theorem",)):
-    """Advice of ``ranker`` for each position, in order, each trained on
-    everything strictly earlier.
-
-    Yields the step's :class:`RankedAdvice`, or the :class:`PremselError`
-    the step raised.  The ranker carries its state from one step to the
-    next, but advice is a function of the step's view alone, so it does
-    not depend on which other positions are selected.  Each training
-    view lives only for its own step.
-    """
-    for position in positions:
-        try:
-            advice = ranker.advise(corpus.training_view(position, row_roles))
-        except PremselError as exc:
-            advice = exc
-        yield advice
-
-
 def _averages(outcomes, n_values) -> dict[int, float]:
     """Mean recall@n over ``outcomes`` for each n; empty when there are none."""
     if not outcomes:
@@ -259,18 +240,23 @@ def run_incremental(
     conjecture_ids=None,
     conjecture_roles=("theorem",),
     row_roles=("theorem",),
-    keep_advice: bool = False,
 ) -> RecallReport:
     """Train-on-the-past / rank / score every selected conjecture, in
-    position order (see :func:`advise_each`).  Per-step training errors
-    are recorded on the outcome and the run continues.
+    position order.
+
+    Each step calls ``ranker.advise`` on the conjecture's training view,
+    everything strictly earlier; the view lives only for its own step.
+    The ranker carries its state from one step to the next, but advice
+    is a function of the view alone, so it does not depend on which
+    other positions are selected.  A step's :class:`PremselError` is
+    recorded on its outcome and the run continues.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
     if not n_values or n_values[0] < 1:
         raise ConfigError("n values must be positive integers")
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     outcomes = []
-    for position, advice in zip(positions, advise_each(corpus, ranker, positions, row_roles)):
+    for position in positions:
         entry = corpus.entries[position]
         used = entry.dependencies
         outcome = ConjectureOutcome(
@@ -282,12 +268,12 @@ def run_incremental(
             recalls=None,
         )
         outcomes.append(outcome)
-        if isinstance(advice, PremselError):
-            outcome.error = str(advice)
+        try:
+            advice = ranker.advise(corpus.training_view(position, row_roles))
+        except PremselError as exc:
+            outcome.error = str(exc)
             continue
         outcome.fallback = advice.fallback
-        if keep_advice:
-            outcome.advice = advice
         if used:
             outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}
 
@@ -314,18 +300,12 @@ def run_incremental(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header, rows) -> None:
-    """Write a header row and then ``rows`` as UTF-8 CSV, ``\\n`` line ends."""
+    """Write a header row and then ``rows`` as UTF-8 CSV, ``\\n`` line ends.
+
+    Cells are :mod:`csv`'s: ``None`` is written empty, a float as its
+    ``repr`` and anything else as its ``str``, so a bool must be mapped
+    by the caller."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -345,15 +325,14 @@ def report_csv(report: RecallReport, out_dir) -> dict[str, Path]:
     write_csv(paths["conjectures"],
               ["conjecture_id", "position", "pool_size", "used_count", "fallback", "error"]
               + recall_cols,
-              ([o.conjecture_id, o.position, o.pool_size, o.used_count, _fmt(o.fallback),
-                o.error or ""]
-               + [_fmt(o.recalls[n]) if o.recalls is not None else "" for n in report.n_values]
+              ([o.conjecture_id, o.position, o.pool_size, o.used_count,
+                "true" if o.fallback else "false", o.error]
+               + [None if o.recalls is None else o.recalls[n] for n in report.n_values]
                for o in report.outcomes))
     write_csv(paths["average"], ["n", "average_recall"],
-              ([n, _fmt(report.averages[n])] for n in report.n_values if report.averages))
+              ([n, report.averages[n]] for n in report.n_values if report.averages))
     write_csv(paths["segments"], ["segment", "count"] + recall_cols,
-              ([seg.index, seg.count]
-               + [_fmt(seg.averages[n]) if seg.averages else "" for n in report.n_values]
+              ([seg.index, seg.count] + [seg.averages.get(n) for n in report.n_values]
                for seg in report.segments))
     return paths
 
@@ -402,8 +381,9 @@ def emit_problems(
     """One problem file per conjecture, named ``<id>.p``.
 
     Axioms are the conjecture's recorded dependencies (bushy), all
-    chronologically earlier items (chainy), or the top-n ranked premises
-    (advised); the conjecture itself is emitted with role
+    chronologically earlier items (chainy), or the top-n premises of
+    ``ranker.advise`` on the conjecture's training view (advised), whose
+    error ends the run; the conjecture itself is emitted with role
     ``conjecture``.  Every file re-parses cleanly.  Each item's
     axiom-role text is printed once per run and reused by every file
     that lists it, so printing is linear in the corpus; chainy output
@@ -434,16 +414,12 @@ def emit_problems(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     axiom_texts: dict[int, str] = {}
-    advice = advise_each(corpus, ranker, positions, row_roles) if mode == "advised" else None
     for position in positions:
         if mode == "bushy":
             axiom_ids = sorted(corpus.entries[position].dependencies, key=corpus.position_of)
         elif mode == "chainy":
             axiom_ids = [e.name for e in corpus.entries[:position]]
         else:
-            step = next(advice)
-            if isinstance(step, PremselError):
-                raise step
-            axiom_ids = step.premise_ids[:n]
+            axiom_ids = ranker.advise(corpus.training_view(position, row_roles)).premise_ids[:n]
         written.append(_write_problem(corpus, position, axiom_ids, out, axiom_texts))
     return written

@@ -12,13 +12,19 @@ the outcome is order-dependent and the per-probe guarantees are those
 of the pass itself.  ``batch_minimize`` first runs passes of halving
 chunk sizes, which probes far fewer times when only a few elements are
 needed, then finishes with the size-1 pass.
+
+An oracle is any callable that takes the candidate ids as a tuple, in
+the order of the current candidates, and returns a verdict.  It must
+treat the ids as a set and give the same verdict for the same set.
+Each verdict is recorded as ``True``, ``False`` or :data:`TIMEOUT`, and
+the result's ``call_count`` counts the starting check too.
 """
 
 from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import PremselError
 from .evaluate import write_csv
@@ -65,24 +71,6 @@ class MinimizationResult:
         return frozenset(self.kept)
 
 
-class CountingOracle:
-    """Wraps a sufficiency predicate and counts invocations.
-
-    The predicate receives the candidate ids as a tuple in current
-    chronological order but must treat them as a set: repeated calls
-    with the same set must give the same verdict.
-    """
-
-    def __init__(self, predicate: Callable[[tuple[str, ...]], bool]):
-        self._predicate = predicate
-        self.calls = 0
-
-    def __call__(self, ids: tuple[str, ...]) -> bool | _Timeout:
-        self.calls += 1
-        verdict = self._predicate(ids)
-        return verdict if verdict is TIMEOUT else bool(verdict)
-
-
 class SubprocessOracle:
     """Sufficiency oracle backed by an external command.
 
@@ -112,11 +100,9 @@ class SubprocessOracle:
         return proc.returncode == 0
 
 
-def _as_counting(oracle) -> CountingOracle:
-    return oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
-
-
-def _check_start(ids: list[str], oracle: CountingOracle) -> None:
+def _passes(ids: list[str], oracle, sizes, reverse: bool = False) -> MinimizationResult:
+    """Check the starting set, then run one removal pass per chunk size
+    of ``sizes``; ``reverse`` tries each pass's chunks last to first."""
     if len(set(ids)) != len(ids):
         raise ValueError("candidate ids must be distinct")
     verdict = oracle(tuple(ids))
@@ -124,14 +110,6 @@ def _check_start(ids: list[str], oracle: CountingOracle) -> None:
         raise InsufficientStartError("the oracle timed out on the starting set")
     if not verdict:
         raise InsufficientStartError("the starting set does not satisfy the oracle")
-
-
-def _passes(ids: list[str], oracle, sizes, reverse: bool = False) -> MinimizationResult:
-    """Check the starting set, then run one removal pass per chunk size
-    of ``sizes``; ``reverse`` tries each pass's chunks last to first."""
-    oracle = _as_counting(oracle)
-    before = oracle.calls
-    _check_start(ids, oracle)
     trace: list[ProbeRecord] = []
     current = list(ids)
     for size in sizes:
@@ -141,11 +119,12 @@ def _passes(ids: list[str], oracle, sizes, reverse: bool = False) -> Minimizatio
         for chunk in chunks:  # disjoint, so each is still whole in current when tried
             chunk_set = set(chunk)
             attempt = [x for x in current if x not in chunk_set]
-            ok = oracle(tuple(attempt))
+            verdict = oracle(tuple(attempt))
+            ok = verdict if verdict is TIMEOUT else bool(verdict)
             trace.append(ProbeRecord(tuple(chunk), ok))
             if ok:
                 current = attempt
-    return MinimizationResult(tuple(current), oracle.calls - before, tuple(trace))
+    return MinimizationResult(tuple(current), len(trace) + 1, tuple(trace))
 
 
 def greedy_minimize(start: Sequence[str], oracle, order: str = "given") -> MinimizationResult:

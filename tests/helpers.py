@@ -191,7 +191,6 @@ def view_from_indices(rows, premise_ids, conjecture_indices=()) -> TrainingView:
             for i, (feats, used) in enumerate(rows)
         ),
         conjecture_id="conjecture",
-        conjecture_position=len(rows),
         conjecture_features=FeatureVector(conjecture_indices),
     )
 
@@ -252,11 +251,19 @@ def rich_corpus_text(n_items: int = 200, seed: int = 0, **planted):
 def reference_problem_text(corpus, position: int, axiom_ids) -> str:
     """A problem file printed item by item: every axiom afresh for every
     file, the loop that emission ran before it cached printed text."""
-    lines = [fol.print_item(dataclasses.replace(corpus.entry(axiom_id).item, role="axiom"))
-             for axiom_id in axiom_ids]
+    lines = [fol.print_item(dataclasses.replace(
+        corpus.entries[corpus.position_of(axiom_id)].item, role="axiom"))
+        for axiom_id in axiom_ids]
     conjecture = corpus.entries[position].item
     lines.append(fol.print_item(dataclasses.replace(conjecture, role="conjecture")))
     return "\n".join(lines) + "\n"
+
+
+def walk_advice(corpus, ranker, positions, row_roles=("theorem",)):
+    """``ranker``'s advice at each of ``positions``, in order, each from
+    the training view of everything before it: the walk that ``eval``,
+    ``rank`` and advised ``emit`` take."""
+    return [ranker.advise(corpus.training_view(position, row_roles)) for position in positions]
 
 
 def reference_view_rows(corpus, position: int, row_roles) -> tuple[TrainingRow, ...]:

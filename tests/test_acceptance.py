@@ -38,7 +38,7 @@ from premsel.kernel import (
     cross_kernel,
     ridge_solve,
 )
-from premsel.minimize import CountingOracle, batch_minimize, greedy_minimize
+from premsel.minimize import batch_minimize, greedy_minimize
 from premsel.naive_bayes import NbCounts, nb_score, nb_train
 
 from helpers import (
@@ -48,6 +48,7 @@ from helpers import (
     ridge_fd_gradient,
     ridge_objective,
     view_from_indices,
+    walk_advice,
     write_corpus,
 )
 
@@ -264,7 +265,7 @@ def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
         appended = restarted = 0
         for combo in _multisets():
             rows = tuple(_ROWS[c] for c in combo)
-            view = TrainingView(("p",), rows, "c", len(rows), FeatureVector([]))
+            view = TrainingView(("p",), rows, "c", FeatureVector([]))
             model = nb_train(view)
             tables = _oracle_tables(combo)
             running = len(rows) <= 3
@@ -361,9 +362,7 @@ def test_criterion_5_recall_exact_values_and_monotonicity():
 def _planted_run(tmp_path, noise, tag):
     formulas, deps = planted_corpus_text(noise=noise, seed=SEED)
     f, d = write_corpus(tmp_path / tag, formulas, deps)
-    nb = run_incremental(
-        load_corpus([f], d), NaiveBayesRanker(), n_values=[5, 10], keep_advice=True
-    )
+    nb = run_incremental(load_corpus([f], d), NaiveBayesRanker(), n_values=[5, 10])
     ridge = KernelRidgeRanker(
         grid=GridSearchConfig(lambda_grid=(0.3,), sigma_grid=(1.0,), seed=SEED)
     )
@@ -434,7 +433,7 @@ def test_criterion_8_minimizer_exhaustive_and_probe_economy():
                 lambda o: greedy_minimize(names, o, order="reverse"),
                 lambda o: batch_minimize(names, o, schedule=[2]),
             ):
-                result = runner(CountingOracle(sufficient))
+                result = runner(sufficient)
                 kept = result.kept_set
                 assert sufficient(tuple(kept))
                 for element in kept:
@@ -442,8 +441,8 @@ def test_criterion_8_minimizer_exhaustive_and_probe_economy():
         assert monotone_count == 19  # all up-closed families containing the start
 
         universe = [f"x{i:02d}" for i in range(64)]
-        plain = greedy_minimize(universe, CountingOracle(lambda ids: "x17" in ids))
-        chunked = batch_minimize(universe, CountingOracle(lambda ids: "x17" in ids))
+        plain = greedy_minimize(universe, lambda ids: "x17" in ids)
+        chunked = batch_minimize(universe, lambda ids: "x17" in ids)
         assert plain.kept == chunked.kept == ("x17",)
         assert chunked.call_count < plain.call_count
 
@@ -466,14 +465,15 @@ def test_criterion_9b_no_leakage_over_full_run(tmp_path):
         formulas, deps = planted_corpus_text(noise=0.10, seed=SEED)
         f, d = write_corpus(tmp_path, formulas, deps)
         corpus = load_corpus([f], d)
-        report = run_incremental(
-            corpus, NaiveBayesRanker(), n_values=[10], keep_advice=True
-        )
+        report = run_incremental(corpus, NaiveBayesRanker(), n_values=[10])
         assert report.outcomes
-        for outcome in report.outcomes:
-            assert len(outcome.advice.premise_ids) == outcome.position
-            for pid in outcome.advice.premise_ids:
-                assert corpus.position_of(pid) < outcome.position
+        assert report.error_count == 0
+        # the run's walk: one ranker over its positions, in order
+        positions = [o.position for o in report.outcomes]
+        for position, advice in zip(positions, walk_advice(corpus, NaiveBayesRanker(), positions)):
+            assert len(advice.premise_ids) == position
+            for pid in advice.premise_ids:
+                assert corpus.position_of(pid) < position
 
 
 def test_criterion_9c_bushy_subset_of_chainy(tmp_path):

@@ -11,10 +11,10 @@ import pytest
 from premsel import cli
 from premsel.corpus import load_corpus
 from premsel.errors import TrainingError
-from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, run_incremental
+from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, select_conjectures
 from premsel.fol import parse_file, print_item
 
-from helpers import planted_corpus_text, write_corpus
+from helpers import planted_corpus_text, walk_advice, write_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "data" / "toy"
@@ -115,9 +115,9 @@ class TestRank:
     def test_mor_regrid_once_agrees_with_eval(self, tmp_path):
         f, d = write_corpus(tmp_path, *planted_corpus_text(
             n_items=60, n_topics=4, feats_per_topic=6, seed=3))
-        report = run_incremental(load_corpus([f], d), KernelRidgeRanker(), n_values=[5],
-                                 keep_advice=True)
-        advice = report.outcomes[-1].advice
+        corpus = load_corpus([f], d)
+        # the walk eval takes: one ranker over every selected position in order
+        advice = walk_advice(corpus, KernelRidgeRanker(), select_conjectures(corpus))[-1]
         result = run_cli("rank", "-f", f, "--deps", d, "--ranker", "mor", "-n", "5",
                          "--conjecture", advice.conjecture_id)
         assert result.returncode == 0, result.stderr
@@ -341,12 +341,12 @@ class TestEmit:
                          "--out-dir", out)
         assert result.returncode == 0, result.stderr
         corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt")
-        report = run_incremental(corpus, NaiveBayesRanker(), n_values=[2], keep_advice=True)
-        assert len(report.outcomes) == 4
-        for outcome in report.outcomes:
-            top = list(outcome.advice.premise_ids[:2])
-            axioms = [item.name for item in parse_file(out / f"{outcome.conjecture_id}.p")][:-1]
-            ranked = run_cli("rank", *toy_args(), "--conjecture", outcome.conjecture_id,
+        walked = walk_advice(corpus, NaiveBayesRanker(), select_conjectures(corpus))
+        assert len(walked) == 4
+        for advice in walked:
+            top = list(advice.premise_ids[:2])
+            axioms = [item.name for item in parse_file(out / f"{advice.conjecture_id}.p")][:-1]
+            ranked = run_cli("rank", *toy_args(), "--conjecture", advice.conjecture_id,
                              "-n", "2")
             assert ranked.returncode == 0, ranked.stderr
             assert axioms == top
@@ -379,17 +379,26 @@ class TestEmit:
         assert again.returncode == 0, again.stderr
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-    def test_advised_training_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", [
+        ["rank", "--conjecture", "th_plus_succ", "-n", "2"],
+        ["emit", "--mode", "advised", "-n", "2", "--out-dir", "{out}"],
+    ], ids=["rank", "advised-emit"])
+    def test_advised_training_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys,
+                                                       command):
         class Boom(NaiveBayesRanker):
             def advise(self, view):
                 raise TrainingError("boom")
 
         monkeypatch.setattr(cli, "_build_ranker", lambda **flags: (Boom(), ("theorem",)))
+        argv = [command[0], *map(str, toy_args()),
+                *(arg.format(out=tmp_path / "a") for arg in command[1:])]
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["emit", *map(str, toy_args()), "--mode", "advised", "-n", "2",
-                      "--out-dir", str(tmp_path / "a")])
+            cli.main(argv)
         assert exit_info.value.code == 4
-        assert capsys.readouterr().err == "error: boom\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: boom\n"
+        if command[0] == "rank":
+            assert captured.out == ""
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -419,17 +428,21 @@ def test_no_command_loads_scipy(tmp_path):
     assert result.stdout.splitlines()[-1] == "[False" + ", 0, False" * 5 + "]"
 
 
-@pytest.mark.parametrize("command, flag", [
-    (["rank", *toy_args(), "--conjecture", "th_plus_one"], "--out-dir"),
-    (["eval", *toy_args()], "--out-dir"),
-    (["emit", *toy_args(), "--mode", "bushy"], "--out-dir"),
-    (["minimize", "--ids", "a,b"], "--out-dir"),
-    (["minimize", "--ids", "a,b"], "--trace-csv"),
-], ids=["rank", "eval", "emit", "minimize-out-dir", "minimize-trace-csv"])
-def test_unwritable_output_path_fails_before_any_work(tmp_path, command, flag):
+# the output path given: a regular file, a file under a missing
+# directory, or an existing directory
+@pytest.mark.parametrize("command, flag, target", [
+    (["rank", *toy_args(), "--conjecture", "th_plus_one"], "--out-dir", "blocker"),
+    (["eval", *toy_args()], "--out-dir", "blocker"),
+    (["emit", *toy_args(), "--mode", "bushy"], "--out-dir", "blocker"),
+    (["minimize", "--ids", "a,b"], "--out-dir", "blocker"),
+    (["minimize", "--ids", "a,b"], "--trace-csv", "missing/trace.csv"),
+    (["minimize", "--ids", "a,b"], "--trace-csv", "."),
+], ids=["rank", "eval", "emit", "minimize-out-dir", "minimize-trace-csv",
+        "minimize-trace-csv-directory"])
+def test_unwritable_output_path_fails_before_any_work(tmp_path, command, flag, target):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n", encoding="utf-8")
-    path = blocker if flag == "--out-dir" else tmp_path / "missing" / "trace.csv"
+    path = tmp_path / target
     marker = tmp_path / "probed"
     if command[0] == "minimize":
         command = [*command, "--oracle-cmd", f"touch '{marker}'"]

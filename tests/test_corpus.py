@@ -104,7 +104,7 @@ class TestTrainingView:
 
     def test_pool_sizes_grow_linearly(self, tmp_path):
         corpus = _load(tmp_path)
-        assert [corpus.training_view(i).pool_size for i in range(3)] == [0, 1, 2]
+        assert [len(corpus.training_view(i).premise_ids) for i in range(3)] == [0, 1, 2]
 
     def test_out_of_range(self, tmp_path):
         corpus = _load(tmp_path)

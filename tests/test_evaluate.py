@@ -15,7 +15,6 @@ from premsel.evaluate import (
     KernelRidgeRanker,
     NaiveBayesRanker,
     RankedAdvice,
-    advise_each,
     chronological_fallback,
     emit_problems,
     rank_advice,
@@ -35,6 +34,7 @@ from helpers import (
     reference_problem_text,
     rich_corpus_text,
     view_from_indices,
+    walk_advice,
     write_corpus,
 )
 
@@ -260,7 +260,7 @@ class TestKernelRidgeRanker:
     def test_advice_depends_on_the_view_alone(self, tmp_path):
         corpus = self._planted(tmp_path)
         positions = select_conjectures(corpus)
-        walked = list(advise_each(corpus, KernelRidgeRanker(), positions))
+        walked = walk_advice(corpus, KernelRidgeRanker(), positions)
         for position, advice in list(zip(positions, walked))[-10:]:
             assert KernelRidgeRanker().advise(corpus.training_view(position)) == advice
 
@@ -327,14 +327,16 @@ class TestKernelRidgeRanker:
         f, d = write_corpus(tmp_path, *planted_corpus_text(
             n_items=60, n_topics=4, feats_per_topic=6, seed=3))
         corpus = load_corpus([f], d)
-        full = run_incremental(corpus, KernelRidgeRanker(), n_values=[5], keep_advice=True)
-        late = full.outcomes[-10:]
-        for outcome in late:
-            (advice,) = advise_each(corpus, KernelRidgeRanker(), [outcome.position])
-            assert advice == outcome.advice
-        subset = run_incremental(corpus, KernelRidgeRanker(), n_values=[5], keep_advice=True,
-                                 conjecture_ids=[o.conjecture_id for o in late[-6:]])
-        assert subset.outcomes == late[-6:]
+        positions = select_conjectures(corpus)
+        walked = walk_advice(corpus, KernelRidgeRanker(), positions)
+        for position, advice in list(zip(positions, walked))[-10:]:
+            assert walk_advice(corpus, KernelRidgeRanker(), [position]) == [advice]
+        assert walk_advice(corpus, KernelRidgeRanker(), positions[-6:]) == walked[-6:]
+        full = run_incremental(corpus, KernelRidgeRanker(), n_values=[5])
+        late = full.outcomes[-6:]
+        subset = run_incremental(corpus, KernelRidgeRanker(), n_values=[5],
+                                 conjecture_ids=[o.conjecture_id for o in late])
+        assert subset.outcomes == late
 
 
 class TestKernelRidgeFactorPath:
@@ -372,7 +374,7 @@ class TestKernelRidgeFactorPath:
     def test_a_fresh_ranker_gives_the_bits_of_the_walk(self, tmp_path, regrid):
         corpus = TestKernelRidgeRanker._planted(tmp_path)
         positions = select_conjectures(corpus)
-        walked = list(advise_each(corpus, KernelRidgeRanker(regrid=regrid), positions))
+        walked = walk_advice(corpus, KernelRidgeRanker(regrid=regrid), positions)
         for position, advice in list(zip(positions, walked))[-10:]:
             fresh = KernelRidgeRanker(regrid=regrid).advise(corpus.training_view(position))
             assert self._bits(fresh) == self._bits(advice)
@@ -381,8 +383,8 @@ class TestKernelRidgeFactorPath:
         corpus = TestKernelRidgeRanker._planted(tmp_path)
         positions = select_conjectures(corpus)
         grid = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,))
-        once = advise_each(corpus, KernelRidgeRanker(grid=grid, regrid="once"), positions)
-        always = advise_each(corpus, KernelRidgeRanker(grid=grid, regrid="always"), positions)
+        once = walk_advice(corpus, KernelRidgeRanker(grid=grid, regrid="once"), positions)
+        always = walk_advice(corpus, KernelRidgeRanker(grid=grid, regrid="always"), positions)
         assert [self._bits(a) for a in once] == [self._bits(a) for a in always]
 
     def test_regrid_always_keeps_its_factor_while_the_point_holds(self, tmp_path, monkeypatch):
@@ -397,7 +399,7 @@ class TestKernelRidgeFactorPath:
 
         monkeypatch.setattr(RidgeFactor, "_append", counted)
         grid = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,))
-        list(advise_each(corpus, KernelRidgeRanker(grid=grid, regrid="always"), positions))
+        walk_advice(corpus, KernelRidgeRanker(grid=grid, regrid="always"), positions)
         assert appended == list(range(len(corpus.training_view(positions[-1]).rows)))
 
     def test_an_interrupted_sync_does_not_poison_the_factor(self, tmp_path):
@@ -499,8 +501,7 @@ class TestRunIncremental:
         f, d = write_corpus(tmp_path, formulas, deps)
         corpus = load_corpus([f], d)
         n_values = (1, 2, 3, 5)
-        report = run_incremental(corpus, NaiveBayesRanker(), n_values=n_values,
-                                 keep_advice=True)
+        report = run_incremental(corpus, NaiveBayesRanker(), n_values=n_values)
 
         # Independent route: oracle features, oracle scores, oracle
         # ranking, exact-fraction recall, then compare the averages.
@@ -543,8 +544,7 @@ class TestRunIncremental:
         ranker = KernelRidgeRanker(
             grid=GridSearchConfig(lambda_grid=(lam,), sigma_grid=(sigma,))
         )
-        report = run_incremental(load_corpus([f], d), ranker, n_values=[5],
-                                 keep_advice=True)
+        report = run_incremental(load_corpus([f], d), ranker, n_values=[5])
 
         # Independent route: explicit loop kernels, a plain matrix
         # inverse instead of the factorization, and fraction recall.
@@ -592,13 +592,16 @@ class TestRunIncremental:
         f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
                             "item3: item1\nitem4: item1\n")
         corpus = load_corpus([f], d)
-        ranker = KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(1.0,), sigma_grid=(1.0,)))
-        report = run_incremental(corpus, ranker, n_values=[1, 2], keep_advice=True)
-        by_id = {o.conjecture_id: o for o in report.outcomes}
+        grid = GridSearchConfig(lambda_grid=(1.0,), sigma_grid=(1.0,))
+        report = run_incremental(corpus, KernelRidgeRanker(grid=grid), n_values=[1, 2])
+        positions = [o.position for o in report.outcomes]
+        walked = walk_advice(corpus, KernelRidgeRanker(grid=grid), positions)
+        by_id = {o.conjecture_id: (o, advice) for o, advice in zip(report.outcomes, walked)}
         # item3 has no earlier theorem rows: chronological fallback.
-        assert by_id["item3"].fallback
-        assert by_id["item3"].advice.premise_ids == ("item1", "item2")
-        assert by_id["item3"].recalls[1] == 1.0
+        outcome, advice = by_id["item3"]
+        assert outcome.fallback and advice.fallback
+        assert advice.premise_ids == ("item1", "item2")
+        assert outcome.recalls[1] == 1.0
 
     def test_training_errors_are_recorded_and_skipped(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
@@ -639,11 +642,12 @@ class TestRunIncremental:
         formulas, deps = planted_corpus_text(n_items=15, n_topics=2, feats_per_topic=4, bases_per_topic=0, seed=5)
         f, d = write_corpus(tmp_path, formulas, deps)
         corpus = load_corpus([f], d)
-        report = run_incremental(corpus, NaiveBayesRanker(), n_values=[3], keep_advice=True)
-        for outcome in report.outcomes:
-            assert outcome.advice is not None
-            for pid in outcome.advice.premise_ids:
-                assert corpus.position_of(pid) < outcome.position
+        report = run_incremental(corpus, NaiveBayesRanker(), n_values=[3])
+        assert report.error_count == 0
+        positions = [o.position for o in report.outcomes]
+        for position, advice in zip(positions, walk_advice(corpus, NaiveBayesRanker(), positions)):
+            for pid in advice.premise_ids:
+                assert corpus.position_of(pid) < position
 
     def test_conjecture_filters(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE, "item3: item1\n")
@@ -784,7 +788,7 @@ class TestEmit:
         f, d = write_corpus(tmp_path, formulas, deps)
         corpus = load_corpus([f], d)
         theorems = select_conjectures(corpus, None, ("theorem",))
-        advice = dict(zip(theorems, advise_each(corpus, NaiveBayesRanker(), theorems,
+        advice = dict(zip(theorems, walk_advice(corpus, NaiveBayesRanker(), theorems,
                                                  ("theorem",))))
         axioms = {
             "bushy": lambda p: sorted(corpus.entries[p].dependencies, key=corpus.position_of),

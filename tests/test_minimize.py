@@ -11,7 +11,6 @@ import zlib
 import pytest
 
 from premsel.minimize import (
-    CountingOracle,
     InsufficientStartError,
     MinimizationResult,
     ProbeRecord,
@@ -24,7 +23,7 @@ from premsel.minimize import (
 
 
 def set_oracle(predicate):
-    return CountingOracle(lambda ids: predicate(frozenset(ids)))
+    return lambda ids: predicate(frozenset(ids))
 
 
 class TestGreedy:
@@ -42,10 +41,15 @@ class TestGreedy:
         assert set(result.kept) == start
 
     def test_insufficient_start_reported_before_any_work(self):
-        oracle = set_oracle(lambda s: False)
+        calls = []
+
+        def insufficient(ids):
+            calls.append(ids)
+            return False
+
         with pytest.raises(InsufficientStartError):
-            greedy_minimize(["a", "b"], oracle)
-        assert oracle.calls == 1
+            greedy_minimize(["a", "b"], insufficient)
+        assert calls == [("a", "b")]
 
     def test_order_dependent_but_always_one_minimal(self):
         # Sufficient iff {a, b} is contained or c is present; verified
@@ -171,7 +175,14 @@ def reference_minimize(start, predicate, sizes, order="given"):
     """The element-wise pass and the chunked passes as separate loops:
     the reference the shared pass loop is checked against.  ``sizes``
     ends in 1; ``order`` sets the element-wise pass's order."""
-    oracle = CountingOracle(predicate)
+    calls = 0
+
+    def oracle(ids):
+        nonlocal calls
+        calls += 1
+        verdict = predicate(ids)
+        return verdict if verdict is TIMEOUT else bool(verdict)
+
     assert oracle(tuple(start))
     trace = []
     current = list(start)
@@ -190,7 +201,7 @@ def reference_minimize(start, predicate, sizes, order="given"):
             trace.append(ProbeRecord(tuple(chunk), ok))
             if ok:
                 current = attempt
-    return MinimizationResult(tuple(current), oracle.calls, tuple(trace))
+    return MinimizationResult(tuple(current), calls, tuple(trace))
 
 
 def _default_sizes(n):
@@ -242,11 +253,14 @@ class TestAgainstReference:
 
 
 class TestOracles:
-    def test_counting_oracle_counts(self):
-        oracle = set_oracle(lambda s: True)
-        oracle(("a",))
-        oracle(("a", "b"))
-        assert oracle.calls == 2
+    def test_verdicts_are_recorded_as_true_false_or_timeout(self):
+        # a truthy or falsy verdict is recorded as a bool, TIMEOUT as itself
+        verdicts = {("a", "b"): "yes", ("b",): 0, ("a",): TIMEOUT}
+        result = greedy_minimize(["a", "b"], verdicts.get)
+        assert [record.sufficient for record in result.trace] == [False, TIMEOUT]
+        assert [type(record.sufficient) for record in result.trace] == [bool, type(TIMEOUT)]
+        assert result.kept == ("a", "b")
+        assert result.call_count == 3
 
     def test_oracle_determinism_probe(self):
         rng = random.Random(3)
