@@ -6,7 +6,10 @@ missing files, unknown ids, an output path that cannot be written),
 3 corpus/formula parse error, 4 runtime error, 130 interrupted
 (Ctrl-C).  Every command that writes into an output directory also
 writes ``run_metadata.json`` echoing the full configuration and seed,
-enough to reproduce the run byte for byte.
+enough to reproduce the run byte for byte.  ``python -m premsel`` and
+the ``premsel`` script call :func:`run`: it freezes the heap once the
+command has returned, so that shutdown skips a collection over it, except
+under ``-W`` or dev mode, where shutdown still finalizes every object.
 
 Environment: ``eval``, ``rank`` and advised ``emit`` run OpenBLAS on
 one thread.  Before numpy first runs they set
@@ -22,6 +25,7 @@ in numpy's PyPI wheels, was measured; MKL and OpenMP builds were not.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -399,5 +403,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """``main`` for a process of its own; see the module docstring."""
+    try:
+        main()
+    finally:
+        if not (sys.warnoptions or sys.flags.dev_mode):
+            gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -7,6 +7,9 @@ equality ``=``/``!=``, and applied terms.  ``%`` starts a comment that
 runs to end of line.  GRAMMAR.md in the repository root lists the exact
 token set and grammar.
 
+One regex turns the text into a list of token strings, which the parser
+walks by index; token offsets are worked out only for an error.
+
 Bound variables are replaced by de Bruijn indices during parsing (the
 innermost binder is index 0), so alpha-equivalent inputs produce equal
 ASTs and term equality is plain structural equality.  The printer
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 from .errors import FofSyntaxError
 
@@ -121,23 +123,17 @@ class NamedItem:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_BARE_NAME = r"[a-z][a-zA-Z0-9_]*"
-
-# One alternative per token class, tried in order.  A punctuation token's
-# kind is its own spelling; BAD takes any character no other alternative
-# starts with, including the opening quote of a malformed quoted name.
+# One match per token, after the whitespace and comments before it; the
+# text after the last token gives one or two '' tokens, the end.  The
+# token is optional, so a match never backtracks over whitespace.  A
+# token's kind is read from its first character: by string order, token t
+# is a variable iff "A" <= t < "[", and a name iff "a" <= t < "{" or,
+# quoted and kept with its quotes, "'" < t < "(".  A punctuation token is
+# its own spelling.  Any other one-character token is a lexical error.
 _TOKEN_RE = re.compile(
-    rf"(?P<LOWER>{_BARE_NAME})|(?P<UPPER>[A-Z][a-zA-Z0-9_]*)|(?P<SPACE>[ \t\r\n]+)"
-    r"|(?P<PUNCT><=>|=>|!=|[()\[\],.:~&|?=!])|(?P<COMMENT>%[^\n]*)"
-    r"|'(?P<QUOTED>[^'\\\n]+)'|(?P<BAD>.)",
-    re.DOTALL,
+    r"(?:[ \t\r\n]+|%[^\n]*)*(<=>|=>|!=|[a-zA-Z][a-zA-Z0-9_]*|'[^'\\\n]+'|[^ \t\r\n%])?"
 )
-
-
-class _Token(NamedTuple):
-    kind: str  # "LOWER", "UPPER", "EOF" or the punctuation's spelling
-    text: str
-    offset: int
+_ONE_CHAR = frozenset("()[],.:~&|?=!abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -146,30 +142,27 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    end = 0  # end of input is reported after the last token or whitespace
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "COMMENT":
-            continue
-        end = m.end()
-        if kind == "SPACE":
-            continue
-        value = m[kind]
-        if kind == "BAD":
-            if value == "<":
+def _raise(text: str, index: int, message: str):
+    """Raise the first lexical error in ``text``, or else ``message`` at
+    token ``index`` of ``_TOKEN_RE.findall(text)``."""
+    offset = 0
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        tok = m[1]
+        if tok and len(tok) == 1 and tok not in _ONE_CHAR:
+            if tok == "<":
                 message = "expected '<=>'"
-            elif value == "'":
-                message = "empty quoted name" if text.startswith("'", end) else "unterminated quoted name"
+            elif tok == "'":
+                empty = text.startswith("'", m.end())
+                message = "empty quoted name" if empty else "unterminated quoted name"
             else:
-                message = f"unexpected character {value!r}"
-            raise FofSyntaxError(message, *_position(text, m.start()))
-        if kind == "PUNCT":
-            kind = value
-        elif kind == "QUOTED":
-            kind = "LOWER"
-        yield _Token(kind, value, m.start())
-    yield _Token("EOF", "", end)
+                message = f"unexpected character {tok!r}"
+            raise FofSyntaxError(message, *_position(text, m.start(1))) from None
+        if k == index:
+            offset = m.start(1)
+            if not tok:  # the end: after the last whitespace outside a comment
+                comment = text.find("%", text.rfind("\n", m.start()) + 1 or m.start())
+                offset = len(text) if comment < 0 else comment
+    raise FofSyntaxError(message, *_position(text, offset)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,177 +170,170 @@ def _tokenize(text: str) -> Iterator[_Token]:
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
-    """Recursive descent over tokens lexed as they are consumed."""
+class _GrammarError(Exception):
+    """``args`` are the index of the token at fault and the message."""
 
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._tok = next(self._tokens)  # the next token, not yet consumed
-        self._binders: list[str] = []
-        self._depth = 0
 
-    def _advance(self) -> _Token:
-        tok, self._tok = self._tok, next(self._tokens)
+def _error(toks: list[str], i: int, message: str) -> _GrammarError:
+    tok = toks[i]
+    found = repr(tok[1:-1] if "'" < tok < "(" else tok) if tok else "end of input"
+    return _GrammarError(i, f"{message}, found {found}")
+
+
+def _expect(toks: list[str], i: int, tok: str) -> int:
+    if toks[i] != tok:
+        raise _error(toks, i, f"expected {tok!r}")
+    return i + 1
+
+
+def _name(tok: str) -> str | None:
+    """The name that a bare or quoted name token spells, else None."""
+    if "a" <= tok < "{":
         return tok
+    return tok[1:-1] if "'" < tok < "(" else None
 
-    def _accept(self, kind: str) -> bool:
-        """Consume the next token if it is of ``kind``."""
-        if self._tok.kind != kind:
-            return False
-        self._tok = next(self._tokens)
-        return True
 
-    def _expect(self, kind: str, what: str | None = None) -> _Token:
-        if self._tok.kind != kind:
-            self._error(f"expected {what or repr(kind)}", self._tok)
-        return self._advance()
+# Each function parses from token ``i`` at nesting depth ``d`` under the
+# bound variable names ``binders``, innermost first, and returns the node
+# and the index after it.
 
-    def _error(self, message: str, tok: _Token):
-        found = repr(tok.text) if tok.text else "end of input"
-        self._raise(f"{message}, found {found}", tok)
 
-    def _raise(self, message: str, tok: _Token):
-        # a lexical error anywhere in the text is reported first, as if
-        # the whole text had been lexed before parsing
-        for _ in self._tokens:
-            pass
-        raise FofSyntaxError(message, *_position(self._text, tok.offset))
+def _item(toks: list[str], i: int) -> tuple[NamedItem, int]:
+    if _name(toks[i]) != "fof":
+        raise _error(toks, i, "expected 'fof'")
+    i = _expect(toks, i + 1, "(")
+    name = _name(toks[i])
+    if name is None:
+        raise _error(toks, i, "expected item name")
+    i = _expect(toks, i + 1, ",")
+    role = _name(toks[i])
+    if role is None:
+        raise _error(toks, i, "expected item role")
+    if role not in ROLES:
+        raise _error(toks, i, f"role must be one of {', '.join(ROLES)}")
+    formula, i = _formula(toks, _expect(toks, i + 1, ","), 0, ())
+    i = _expect(toks, i, ")")
+    return NamedItem(name, role, formula), _expect(toks, i, ".")
 
-    def at_eof(self) -> bool:
-        return self._tok.kind == "EOF"
 
-    def item(self) -> NamedItem:
-        kw = self._expect("LOWER", "'fof'")
-        if kw.text != "fof":
-            self._error("expected 'fof'", kw)
-        self._expect("(")
-        name = self._expect("LOWER", "item name")
-        self._expect(",")
-        role = self._expect("LOWER", "item role")
-        if role.text not in ROLES:
-            self._error(f"role must be one of {', '.join(ROLES)}", role)
-        self._expect(",")
-        formula = self.formula()
-        self._expect(")")
-        self._expect(".")
-        return NamedItem(name.text, role.text, formula)
+def _formula(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Formula, int]:
+    left, i = _disjunction(toks, i, d, binders)
+    op = toks[i]
+    if op != "=>" and op != "<=>":
+        return left, i
+    right, i = _disjunction(toks, i + 1, d, binders)
+    if toks[i] == "=>" or toks[i] == "<=>":
+        raise _error(toks, i, "'=>' and '<=>' are non-associative; add parentheses")
+    return (Implies if op == "=>" else Iff)(left, right), i
 
-    def formula(self) -> Formula:
-        left = self._disjunction()
-        tok = self._tok
-        if tok.kind in ("=>", "<=>"):
-            self._advance()
-            right = self._disjunction()
-            after = self._tok
-            if after.kind in ("=>", "<=>"):
-                self._error("'=>' and '<=>' are non-associative; add parentheses", after)
-            return Implies(left, right) if tok.kind == "=>" else Iff(left, right)
-        return left
 
-    def _disjunction(self) -> Formula:
-        f = self._conjunction()
-        while self._accept("|"):
-            f = Or(f, self._conjunction())
-        return f
+def _disjunction(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Formula, int]:
+    f, i = _conjunction(toks, i, d, binders)
+    while toks[i] == "|":
+        right, i = _conjunction(toks, i + 1, d, binders)
+        f = Or(f, right)
+    return f, i
 
-    def _conjunction(self) -> Formula:
-        f = self._unit()
-        while self._accept("&"):
-            f = And(f, self._unit())
-        return f
 
-    def _unit(self) -> Formula:
-        tok = self._tok
-        self._depth += 1
-        try:
-            if self._depth > _MAX_NESTING:
-                self._error("formula is nested too deeply", tok)
-            if self._accept("~"):
-                return Not(self._unit())
-            if tok.kind in ("!", "?"):
-                return self._quantified()
-            if self._accept("("):
-                f = self.formula()
-                self._expect(")")
-                return f
-            if tok.kind in ("LOWER", "UPPER"):
-                term = self.term()
-                if self._accept("="):
-                    return Equals(term, self.term())
-                if self._accept("!="):
-                    return Not(Equals(term, self.term()))
-                if isinstance(term, App):
-                    return Atom(term.name, term.args)
-                self._error("a bare variable is not a formula", tok)
-            self._error("expected a formula", tok)
-        finally:
-            self._depth -= 1
+def _conjunction(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Formula, int]:
+    f, i = _unit(toks, i, d, binders)
+    while toks[i] == "&":
+        right, i = _unit(toks, i + 1, d, binders)
+        f = And(f, right)
+    return f, i
 
-    def _quantified(self) -> Formula:
-        tok = self._advance()
-        cls = Forall if tok.kind == "!" else Exists
-        self._expect("[")
-        names = [self._expect("UPPER", "variable name").text]
-        while self._accept(","):
-            names.append(self._expect("UPPER", "variable name").text)
-        self._expect("]")
-        self._expect(":")
-        self._binders.extend(names)
-        body = self._unit()
-        del self._binders[-len(names) :]
-        for _ in names:
-            body = cls(body)
-        return body
 
-    def term(self) -> Term:
-        tok = self._tok
-        self._depth += 1
-        try:
-            if self._depth > _MAX_NESTING:
-                self._error("term is nested too deeply", tok)
-            if tok.kind == "UPPER":
-                self._advance()
-                for distance, name in enumerate(reversed(self._binders)):
-                    if name == tok.text:
-                        return Var(distance)
-                self._error(f"unbound variable {tok.text}", tok)
-            if tok.kind == "LOWER":
-                self._advance()
-                if not self._accept("("):
-                    return App(tok.text)
-                args = [self.term()]
-                while self._accept(","):
-                    args.append(self.term())
-                self._expect(")")
-                return App(tok.text, tuple(args))
-            self._error("expected a term", tok)
-        finally:
-            self._depth -= 1
+def _unit(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Formula, int]:
+    tok = toks[i]
+    d += 1
+    if d > _MAX_NESTING:
+        raise _error(toks, i, "formula is nested too deeply")
+    if tok == "~":
+        body, i = _unit(toks, i + 1, d, binders)
+        return Not(body), i
+    if tok == "!" or tok == "?":
+        return _quantified(toks, i, d, binders)
+    if tok == "(":
+        f, i = _formula(toks, i + 1, d, binders)
+        return f, _expect(toks, i, ")")
+    if not ("a" <= tok < "{" or "A" <= tok < "[" or "'" < tok < "("):
+        raise _error(toks, i, "expected a formula")
+    left, j = _term(toks, i, d, binders)
+    if toks[j] == "=" or toks[j] == "!=":
+        right, k = _term(toks, j + 1, d, binders)
+        return (Equals(left, right) if toks[j] == "=" else Not(Equals(left, right))), k
+    if type(left) is Var:
+        raise _error(toks, i, "a bare variable is not a formula")
+    return Atom(left.name, left.args), j
+
+
+def _quantified(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Formula, int]:
+    cls = Forall if toks[i] == "!" else Exists
+    i = _expect(toks, i + 1, "[")
+    names: list[str] = []
+    while True:
+        if not ("A" <= toks[i] < "["):
+            raise _error(toks, i, "expected variable name")
+        names.append(toks[i])
+        if toks[i + 1] != ",":
+            break
+        i += 2
+    i = _expect(toks, _expect(toks, i + 1, "]"), ":")
+    body, i = _unit(toks, i, d, (*reversed(names), *binders))
+    for _ in names:
+        body = cls(body)
+    return body, i
+
+
+def _term(toks: list[str], i: int, d: int, binders: tuple[str, ...]) -> tuple[Term, int]:
+    tok = toks[i]
+    d += 1
+    if d > _MAX_NESTING:
+        raise _error(toks, i, "term is nested too deeply")
+    if "A" <= tok < "[":
+        if tok not in binders:
+            raise _error(toks, i, f"unbound variable {tok}")
+        return Var(binders.index(tok)), i + 1
+    name = _name(tok)
+    if name is None:
+        raise _error(toks, i, "expected a term")
+    if toks[i + 1] != "(":
+        return App(name), i + 1
+    arg, i = _term(toks, i + 2, d, binders)
+    args = [arg]
+    while toks[i] == ",":
+        arg, i = _term(toks, i + 1, d, binders)
+        args.append(arg)
+    return App(name, tuple(args)), _expect(toks, i, ")")
 
 
 def parse_item(text: str) -> NamedItem:
     """Parse exactly one ``fof(...)`` item."""
-    parser = _Parser(text)
-    item = parser.item()
-    if not parser.at_eof():
-        parser._error("unexpected text after item", parser._tok)
+    toks = _TOKEN_RE.findall(text)
+    try:
+        item, i = _item(toks, 0)
+        if toks[i]:
+            raise _error(toks, i, "unexpected text after item")
+    except _GrammarError as error:
+        _raise(text, *error.args)
     return item
 
 
 def parse_items(text: str) -> list[NamedItem]:
     """Parse a whole file worth of items; item names must be unique."""
-    parser = _Parser(text)
-    items: list[NamedItem] = []
-    seen: set[str] = set()
-    while not parser.at_eof():
-        tok = parser._tok
-        item = parser.item()
-        if item.name in seen:
-            parser._raise(f"duplicate item name {item.name!r}", tok)
-        seen.add(item.name)
-        items.append(item)
-    return items
+    toks = _TOKEN_RE.findall(text)
+    items: dict[str, NamedItem] = {}
+    i = 0
+    try:
+        while toks[i]:
+            item, j = _item(toks, i)
+            if item.name in items:
+                raise _GrammarError(i, f"duplicate item name {item.name!r}")
+            items[item.name] = item
+            i = j
+    except _GrammarError as error:
+        _raise(text, *error.args)
+    return list(items.values())
 
 
 def parse_file(path) -> list[NamedItem]:
@@ -361,7 +347,7 @@ def parse_file(path) -> list[NamedItem]:
 
 _IMPL, _OR, _AND, _UNIT = 0, 1, 2, 3
 
-_BARE_NAME_RE = re.compile(_BARE_NAME)
+_BARE_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 def _name_text(name: str) -> str:

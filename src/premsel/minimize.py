@@ -22,7 +22,6 @@ the result's ``call_count`` counts the starting check too.
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +89,7 @@ class SubprocessOracle:
         self.timeout = timeout
 
     def __call__(self, ids: tuple[str, ...]) -> bool | _Timeout:
+        import subprocess  # here, not at module import: only minimize probes need it
         text = "".join(f"{i}\n" for i in ids)
         try:
             proc = subprocess.run(self.command, input=text, text=True,

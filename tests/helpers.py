@@ -1,5 +1,5 @@
 """Shared test utilities: random AST generation, independent oracles,
-and synthetic corpus builders.
+synthetic corpus builders, and the reference formula parser.
 
 The oracles here deliberately recompute results through different code
 paths than the package (count-table probability products, explicit
@@ -11,10 +11,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from premsel import fol
+from premsel.errors import FofSyntaxError
 from premsel.corpus import TrainingRow, TrainingView
 from premsel.features import FeatureVector
 
@@ -279,3 +282,224 @@ def write_corpus(tmp_path, formulas_text: str, deps_text: str):
     formulas.write_text(formulas_text, encoding="utf-8")
     deps.write_text(deps_text, encoding="utf-8")
     return formulas, deps
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the streaming lexer and recursive-descent parser that
+# fol's token-list parser replaced.  It lexes with one named group per
+# token class and builds a token object per token, so it is slower, but
+# its ASTs and its (message, line, column) errors are what fol's must be.
+# ---------------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"(?P<LOWER>[a-z][a-zA-Z0-9_]*)|(?P<UPPER>[A-Z][a-zA-Z0-9_]*)|(?P<SPACE>[ \t\r\n]+)"
+    r"|(?P<PUNCT><=>|=>|!=|[()\[\],.:~&|?=!])|(?P<COMMENT>%[^\n]*)"
+    r"|'(?P<QUOTED>[^'\\\n]+)'|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
+class _RefToken(NamedTuple):
+    kind: str  # "LOWER", "UPPER", "EOF" or the punctuation's spelling
+    text: str
+    offset: int
+
+
+def _ref_position(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def _ref_tokenize(text: str) -> Iterator[_RefToken]:
+    end = 0  # end of input is reported after the last token or whitespace
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "COMMENT":
+            continue
+        end = m.end()
+        if kind == "SPACE":
+            continue
+        value = m[kind]
+        if kind == "BAD":
+            if value == "<":
+                message = "expected '<=>'"
+            elif value == "'":
+                message = "empty quoted name" if text.startswith("'", end) else "unterminated quoted name"
+            else:
+                message = f"unexpected character {value!r}"
+            raise FofSyntaxError(message, *_ref_position(text, m.start()))
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "QUOTED":
+            kind = "LOWER"
+        yield _RefToken(kind, value, m.start())
+    yield _RefToken("EOF", "", end)
+
+
+class _RefParser:
+    """Recursive descent over tokens lexed as they are consumed."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _ref_tokenize(text)
+        self._tok = next(self._tokens)  # the next token, not yet consumed
+        self._binders: list[str] = []
+        self._depth = 0
+
+    def _advance(self) -> _RefToken:
+        tok, self._tok = self._tok, next(self._tokens)
+        return tok
+
+    def _accept(self, kind: str) -> bool:
+        if self._tok.kind != kind:
+            return False
+        self._tok = next(self._tokens)
+        return True
+
+    def _expect(self, kind: str, what: str | None = None) -> _RefToken:
+        if self._tok.kind != kind:
+            self._error(f"expected {what or repr(kind)}", self._tok)
+        return self._advance()
+
+    def _error(self, message: str, tok: _RefToken):
+        found = repr(tok.text) if tok.text else "end of input"
+        self._raise(f"{message}, found {found}", tok)
+
+    def _raise(self, message: str, tok: _RefToken):
+        # a lexical error anywhere in the text is reported first
+        for _ in self._tokens:
+            pass
+        raise FofSyntaxError(message, *_ref_position(self._text, tok.offset))
+
+    def at_eof(self) -> bool:
+        return self._tok.kind == "EOF"
+
+    def item(self) -> fol.NamedItem:
+        kw = self._expect("LOWER", "'fof'")
+        if kw.text != "fof":
+            self._error("expected 'fof'", kw)
+        self._expect("(")
+        name = self._expect("LOWER", "item name")
+        self._expect(",")
+        role = self._expect("LOWER", "item role")
+        if role.text not in fol.ROLES:
+            self._error(f"role must be one of {', '.join(fol.ROLES)}", role)
+        self._expect(",")
+        formula = self.formula()
+        self._expect(")")
+        self._expect(".")
+        return fol.NamedItem(name.text, role.text, formula)
+
+    def formula(self) -> fol.Formula:
+        left = self._disjunction()
+        tok = self._tok
+        if tok.kind in ("=>", "<=>"):
+            self._advance()
+            right = self._disjunction()
+            after = self._tok
+            if after.kind in ("=>", "<=>"):
+                self._error("'=>' and '<=>' are non-associative; add parentheses", after)
+            return fol.Implies(left, right) if tok.kind == "=>" else fol.Iff(left, right)
+        return left
+
+    def _disjunction(self) -> fol.Formula:
+        f = self._conjunction()
+        while self._accept("|"):
+            f = fol.Or(f, self._conjunction())
+        return f
+
+    def _conjunction(self) -> fol.Formula:
+        f = self._unit()
+        while self._accept("&"):
+            f = fol.And(f, self._unit())
+        return f
+
+    def _unit(self) -> fol.Formula:
+        tok = self._tok
+        self._depth += 1
+        try:
+            if self._depth > fol._MAX_NESTING:
+                self._error("formula is nested too deeply", tok)
+            if self._accept("~"):
+                return fol.Not(self._unit())
+            if tok.kind in ("!", "?"):
+                return self._quantified()
+            if self._accept("("):
+                f = self.formula()
+                self._expect(")")
+                return f
+            if tok.kind in ("LOWER", "UPPER"):
+                term = self.term()
+                if self._accept("="):
+                    return fol.Equals(term, self.term())
+                if self._accept("!="):
+                    return fol.Not(fol.Equals(term, self.term()))
+                if isinstance(term, fol.App):
+                    return fol.Atom(term.name, term.args)
+                self._error("a bare variable is not a formula", tok)
+            self._error("expected a formula", tok)
+        finally:
+            self._depth -= 1
+
+    def _quantified(self) -> fol.Formula:
+        tok = self._advance()
+        cls = fol.Forall if tok.kind == "!" else fol.Exists
+        self._expect("[")
+        names = [self._expect("UPPER", "variable name").text]
+        while self._accept(","):
+            names.append(self._expect("UPPER", "variable name").text)
+        self._expect("]")
+        self._expect(":")
+        self._binders.extend(names)
+        body = self._unit()
+        del self._binders[-len(names) :]
+        for _ in names:
+            body = cls(body)
+        return body
+
+    def term(self) -> fol.Term:
+        tok = self._tok
+        self._depth += 1
+        try:
+            if self._depth > fol._MAX_NESTING:
+                self._error("term is nested too deeply", tok)
+            if tok.kind == "UPPER":
+                self._advance()
+                for distance, name in enumerate(reversed(self._binders)):
+                    if name == tok.text:
+                        return fol.Var(distance)
+                self._error(f"unbound variable {tok.text}", tok)
+            if tok.kind == "LOWER":
+                self._advance()
+                if not self._accept("("):
+                    return fol.App(tok.text)
+                args = [self.term()]
+                while self._accept(","):
+                    args.append(self.term())
+                self._expect(")")
+                return fol.App(tok.text, tuple(args))
+            self._error("expected a term", tok)
+        finally:
+            self._depth -= 1
+
+
+def reference_parse_item(text: str) -> fol.NamedItem:
+    parser = _RefParser(text)
+    item = parser.item()
+    if not parser.at_eof():
+        parser._error("unexpected text after item", parser._tok)
+    return item
+
+
+def reference_parse_items(text: str) -> list[fol.NamedItem]:
+    parser = _RefParser(text)
+    items: list[fol.NamedItem] = []
+    seen: set[str] = set()
+    while not parser.at_eof():
+        tok = parser._tok
+        item = parser.item()
+        if item.name in seen:
+            parser._raise(f"duplicate item name {item.name!r}", tok)
+        seen.add(item.name)
+        items.append(item)
+    return items

@@ -22,7 +22,24 @@ from premsel.fol import (
     print_item,
 )
 
-from helpers import rand_item
+from helpers import (
+    planted_corpus_text,
+    rand_item,
+    reference_parse_item,
+    reference_parse_items,
+    rich_corpus_text,
+)
+
+FUZZ_ALPHABET = "fo(),.![]:?=<>&|~%'aXbY \n_12\t\r\\$\"\f"
+
+# Formulas nested ``n`` levels, each reaching the 120-level limit at the
+# ``n`` GRAMMAR.md names: 118 for the first three, 117 binders.
+NESTED = {
+    "not": lambda n: "~" * n + "p",
+    "term": lambda n: "f(" * n + "a" + ")" * n + " = a",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "binders": lambda n: "![X]: " * n + "p(X)",
+}
 
 
 class TestParseExamples:
@@ -69,6 +86,10 @@ class TestParseExamples:
     def test_comments_and_whitespace(self):
         text = "% leading comment\nfof(t, % inline\n  axiom, p).  % trailing\n"
         assert parse_items(text) == [NamedItem("t", "axiom", Atom("p"))]
+
+    @pytest.mark.parametrize("text", ["'fof'(t, axiom, p).", "fof(t, 'axiom', p)."])
+    def test_quoted_keyword_and_role(self, text):
+        assert parse_item(text) == NamedItem("t", "axiom", Atom("p"))
 
 
 class TestParseErrors:
@@ -129,6 +150,19 @@ class TestParseErrors:
         with pytest.raises(FofSyntaxError) as err:
             parse_items(text)
         assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+    @pytest.mark.parametrize("shape, deepest, found, column", [
+        ("not", 118, "p", 134),
+        ("term", 118, "a", 253),
+        ("parentheses", 118, "p", 134),
+        ("binders", 117, "X", 725),
+    ])
+    def test_nesting_limit(self, shape, deepest, found, column):
+        parse_item(f"fof(t, axiom, {NESTED[shape](deepest)}).")
+        with pytest.raises(FofSyntaxError) as err:
+            parse_item(f"fof(t, axiom, {NESTED[shape](deepest + 1)}).")
+        assert (err.value.message, err.value.line, err.value.column) == (
+            f"term is nested too deeply, found {found!r}", 1, column)
 
     def test_deep_nesting_is_a_positioned_error(self):
         bomb = "fof(t, axiom, " + "(" * 2000 + "p" + ")" * 2000 + ")."
@@ -204,9 +238,8 @@ class TestProperties:
     def test_parser_totality_on_fuzzed_input(self):
         # Every input parses or raises a positioned error; nothing else.
         rng = random.Random(99)
-        alphabet = "fo(),.![]:?=<>&|~%'aXbY \n_12\t\r\\$\"\f"
         for _ in range(500):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
+            text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 60)))
             try:
                 parse_items(text)
             except FofSyntaxError as err:
@@ -216,3 +249,64 @@ class TestProperties:
         item = parse_item("fof(t1, axiom, p(a)).")
         with pytest.raises(Exception):
             item.formula.args = ()
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result, or the error's
+    (message, line, column)."""
+    try:
+        return parse(text)
+    except FofSyntaxError as err:
+        return err.message, err.line, err.column
+
+
+class TestAgainstReference:
+    """The token-list parser against the streaming parser it replaced
+    (``helpers.reference_parse_items``): equal ASTs, or the same error
+    at the same line and column."""
+
+    @staticmethod
+    def assert_same(text):
+        assert outcome(parse_items, text) == outcome(reference_parse_items, text), text
+        assert outcome(parse_item, text) == outcome(reference_parse_item, text), text
+
+    def test_fuzzed_text(self):
+        rng = random.Random(2024)
+        # the quote, '<', '%' and CR again, so that more strings hit them
+        alphabet = FUZZ_ALPHABET + "'<%\r"
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
+            self.assert_same(text)
+            self.assert_same(text + " % ends in a comment")
+
+    def test_mutated_items(self):
+        rng = random.Random(17)
+        for i in range(600):
+            chars = list(print_item(rand_item(rng, i)))
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(chars))
+                if rng.random() < 0.5:
+                    del chars[k]
+                else:
+                    chars.insert(k, rng.choice(FUZZ_ALPHABET))
+            self.assert_same("".join(chars))
+
+    def test_printed_items(self):
+        rng = random.Random(5)
+        texts = [print_item(rand_item(rng, i)) for i in range(300)]
+        for text in texts:
+            self.assert_same(text)
+        self.assert_same("\n".join(texts))
+        self.assert_same("\n".join(texts) + "\n" + texts[7])  # a duplicate name
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_nesting(self, shape):
+        for n in (116, 117, 118, 119, 120, 121, 300):
+            self.assert_same(f"fof(t, axiom, {NESTED[shape](n)}).")
+
+    @pytest.mark.parametrize("make", [planted_corpus_text, rich_corpus_text],
+                             ids=["planted", "rich"])
+    def test_corpora(self, make):
+        formulas, _ = make(n_items=450, seed=3)
+        self.assert_same(formulas)
+        self.assert_same(formulas + "fof(extra, axiom, p(X)).")
