@@ -1,15 +1,19 @@
 """Command-line entry point: load, rank, evaluate, emit, minimize.
 
-Exit codes: 0 success, 1 with no message when stdout closes early
+The parser is the standard library's ``argparse``, with no option
+abbreviations; an option value that starts with ``-`` and is not a
+negative number is attached with ``=`` (``--ids=-a,b``).  Exit codes:
+0 success, 1 with no message when stdout closes early
 (``premsel rank ... | head -1``), 2 configuration error (bad flags,
 missing files, unknown ids, an output path that cannot be written),
 3 corpus/formula parse error, 4 runtime error, 130 interrupted
-(Ctrl-C).  Every command that writes into an output directory also
-writes ``run_metadata.json`` echoing the full configuration and seed,
-enough to reproduce the run byte for byte.  ``python -m premsel`` and
-the ``premsel`` script call :func:`run`: it freezes the heap once the
-command has returned, so that shutdown skips a collection over it, except
-under ``-W`` or dev mode, where shutdown still finalizes every object.
+(Ctrl-C).  Once a command given an ``--out-dir`` has returned,
+:func:`main` writes ``run_metadata.json`` there, echoing the full
+configuration and seed, enough to reproduce the run byte for byte.
+``python -m premsel`` and the ``premsel`` script call :func:`run`: it
+freezes the heap once the command has returned, so that shutdown skips
+a collection over it, except under ``-W`` or dev mode, where shutdown
+still finalizes every object.
 
 Environment: ``eval``, ``rank`` and advised ``emit`` run OpenBLAS on
 one thread.  Before numpy first runs they set
@@ -25,6 +29,7 @@ in numpy's PyPI wheels, was measured; MKL and OpenMP builds were not.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import math
@@ -34,13 +39,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import click
-
 from . import __version__
 from ._lazy import executed
 from .corpus import load_corpus
-from .errors import ConfigError, CorpusError, FofSyntaxError, PremselError
+from .errors import ConfigError, CorpusError, PremselError
 from .evaluate import (
+    EMIT_MODES,
     KernelRidgeRanker,
     NaiveBayesRanker,
     chronological_fallback,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
@@ -142,15 +146,14 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, 
     return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid), row_roles
 
 
-# click parameter name -> run_metadata.json option name
+# parsed option name -> run_metadata.json option name
 _OPTION_NAMES = {"formula_paths": "formulas", "dep_path": "deps", "top_n": "n"}
 # neither changes what a run writes
 _UNRECORDED = {"out_dir", "jobs"}
 
 
-def _write_metadata(out_dir, command: str) -> None:
-    """Echo the running command's parameters into ``run_metadata.json``."""
-    params = click.get_current_context().params
+def _write_metadata(out_dir, command: str, params: dict) -> None:
+    """Echo a command's parsed options into ``run_metadata.json``."""
     options = {_OPTION_NAMES.get(k, k): v for k, v in params.items() if k not in _UNRECORDED}
     if command == "emit" and options["mode"] != "advised":
         options["ranker"] = options["n"] = None
@@ -162,54 +165,6 @@ def _write_metadata(out_dir, command: str) -> None:
         handle.write("\n")
 
 
-def _corpus_options(f):
-    f = click.option("--deps", "dep_path", required=True, help="Dependency file.")(f)
-    f = click.option(
-        "--formulas", "-f", "formula_paths", multiple=True, required=True,
-        help="Formula file; repeat for several, order = chronology.",
-    )(f)
-    return f
-
-
-def _ranker_options(f):
-    for option in reversed([
-        click.option("--ranker", type=click.Choice(["nb", "mor"]), default="nb",
-                     show_default=True, help="nb = naive Bayes, mor = multi-output ridge."),
-        click.option("--kernel", type=click.Choice(["gaussian", "linear"]),
-                     default="gaussian", show_default=True),
-        click.option("--lambda-grid", default=None,
-                     help="Comma-separated regularization grid (default: 2^-7..2^7)."),
-        click.option("--sigma-grid", default=None,
-                     help="Comma-separated kernel width grid (default: sigma^2 = 2^-3..2^9)."),
-        click.option("--split", type=float, default=0.70, show_default=True,
-                     help="Training fraction of the grid-search split."),
-        click.option("--chrono-split", is_flag=True,
-                     help="Split train/validation chronologically instead of shuffling."),
-        click.option("--regrid", type=click.Choice(["once", "always"]), default="once",
-                     show_default=True, help="Re-run the grid search at every step or once."),
-        click.option("--smoothing", type=float, default=1.0, show_default=True,
-                     help="Additive smoothing for the naive Bayes counts."),
-        click.option("--train-rows", type=click.Choice(["theorems", "all"]),
-                     default="theorems", show_default=True,
-                     help="Which roles contribute training rows (all roles are premises)."),
-        click.option("--seed", type=int, default=0, show_default=True),
-    ]):
-        f = option(f)
-    return f
-
-
-@click.group()
-@click.version_option(__version__, prog_name="premsel")
-def cli():
-    """Premise selection over first-order corpora."""
-
-
-@cli.command()
-@_corpus_options
-@_ranker_options
-@click.option("--conjecture", required=True, help="Identifier of the item to rank for.")
-@click.option("-n", "--top", "top_n", type=int, default=10, show_default=True)
-@click.option("--out-dir", default=None, help="Also write advice.csv and metadata here.")
 def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
     """Rank the premises available to one conjecture."""
     if top_n < 1:
@@ -221,23 +176,18 @@ def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
         raise ConfigError(f"unknown conjecture id {conjecture!r}")
     advice = engine.advise(corpus.training_view(corpus.position_of(conjecture), row_roles))
     if advice.fallback:
-        click.echo("note: pool not trainable, advice is chronological", err=True)
-    n = top_n
-    if n > len(advice.premise_ids):
-        click.echo(
-            f"warning: n={n} exceeds pool size {len(advice.premise_ids)}; returning whole pool",
-            err=True,
-        )
-        n = len(advice.premise_ids)
+        print("note: pool not trainable, advice is chronological", file=sys.stderr)
+    n = min(top_n, len(advice.premise_ids))
+    if n < top_n:
+        print(f"warning: n={top_n} exceeds pool size {n}; returning whole pool", file=sys.stderr)
     for pid, score in zip(advice.premise_ids[:n], advice.scores[:n]):
-        click.echo(f"{pid}\t{score!r}")
+        print(f"{pid}\t{score!r}")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         top = zip(advice.premise_ids[:n], advice.scores[:n])
         write_csv(out / "advice.csv", ["rank", "premise_id", "score"],
                   ([i, *row] for i, row in enumerate(top)))
-        _write_metadata(out_dir, "rank")
 
 
 def write_loss_table(table, path) -> None:
@@ -245,17 +195,6 @@ def write_loss_table(table, path) -> None:
     write_csv(path, ["lambda", "sigma", "validation_loss"], table)
 
 
-@cli.command("eval")
-@_corpus_options
-@_ranker_options
-@click.option("--conjectures", default=None, help="Comma-separated ids to evaluate.")
-@click.option("--conjecture-roles", default="theorem", show_default=True,
-              help="Roles evaluated as conjectures when --conjectures is not given.")
-@click.option("--n-set", default=DEFAULT_N_SET, show_default=True,
-              help="Comma-separated n values for recall@n.")
-# accepted without effect because perfbench/workloads.py and tests/test_trace_targets.py pass it
-@click.option("--jobs", type=int, default=1, hidden=True)
-@click.option("--out-dir", required=True)
 def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
              **ranker_flags):
     """Incremental evaluation: recall@n per conjecture plus averages."""
@@ -274,24 +213,12 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
         write_loss_table(engine.search.table, loss_table)
     else:  # a table left by an earlier run would describe another configuration
         loss_table.unlink(missing_ok=True)
-    _write_metadata(out_dir, "eval")
-    click.echo(
-        f"evaluated {report.evaluated_count} conjectures "
-        f"({report.skipped_empty} with no dependencies, {report.error_count} errors)"
-    )
+    print(f"evaluated {report.evaluated_count} conjectures "
+          f"({report.skipped_empty} with no dependencies, {report.error_count} errors)")
     for name in ("conjectures", "average", "segments"):
-        click.echo(f"wrote {paths[name]}")
+        print(f"wrote {paths[name]}")
 
 
-@cli.command()
-@_corpus_options
-@_ranker_options
-@click.option("--mode", type=click.Choice(["bushy", "chainy", "advised"]), required=True)
-@click.option("-n", "--top", "top_n", type=int, default=None,
-              help="Number of advised premises (advised mode only).")
-@click.option("--conjectures", default=None, help="Comma-separated ids to emit.")
-@click.option("--conjecture-roles", default="theorem", show_default=True)
-@click.option("--out-dir", required=True)
 def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, out_dir,
          **ranker_flags):
     """Emit one problem file per conjecture."""
@@ -307,24 +234,9 @@ def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, ou
         corpus, mode, out_dir, conjecture_ids=ids, conjecture_roles=roles,
         n=top_n, ranker=engine, row_roles=row_roles,
     )
-    _write_metadata(out_dir, "emit")
-    click.echo(f"wrote {len(written)} problem files to {out_dir}")
+    print(f"wrote {len(written)} problem files to {out_dir}")
 
 
-@cli.command()
-@click.option("--oracle-cmd", required=True,
-              help="Command run per probe; candidate ids on stdin, exit 0 = sufficient; "
-                   "its output is discarded.")
-@click.option("--ids", default=None, help="Comma-separated candidate ids.")
-@click.option("--ids-file", default=None, help="File with one candidate id per line.")
-@click.option("--order", type=click.Choice(["given", "reverse"]), default="given",
-              show_default=True, help="Order of the greedy pass; not with --batch.")
-@click.option("--batch", is_flag=True, help="Chunked passes before the element-wise pass.")
-@click.option("--schedule", default=None, help="Comma-separated chunk sizes for --batch.")
-@click.option("--trace-csv", default=None, help="Write the removal trace here.")
-@click.option("--oracle-timeout", type=float, default=None, metavar="SECONDS",
-              help="Kill a probe after this long and count it insufficient (default: none).")
-@click.option("--out-dir", default=None)
 def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracle_timeout,
              out_dir):
     """Reduce a dependency set to a 1-minimal sufficient subset."""
@@ -372,35 +284,121 @@ def minimize(oracle_cmd, ids, ids_file, order, batch, schedule, trace_csv, oracl
     else:
         result = greedy_minimize(candidates, oracle, order)
     for kept in result.kept:
-        click.echo(kept)
-    click.echo(f"oracle calls: {result.call_count}", err=True)
+        print(kept)
+    sys.stdout.flush()  # the ids come first also where stdout and stderr share one file
+    print(f"oracle calls: {result.call_count}", file=sys.stderr)
     if trace_csv is not None:
         write_trace_csv(result, trace_csv)
-    if out_dir is not None:
-        _write_metadata(out_dir, "minimize")
+
+
+COMMANDS = {"rank": rank, "eval": eval_cmd, "emit": emit, "minimize": minimize}
+
+
+def _ranking_options(add) -> None:
+    """The corpus and ranker options shared by ``rank``, ``eval`` and ``emit``."""
+    add("--formulas", "-f", dest="formula_paths", action="append", required=True,
+        metavar="FILE", help="Formula file; repeat for several, order = chronology.")
+    add("--deps", dest="dep_path", required=True, metavar="FILE", help="Dependency file.")
+    add("--ranker", choices=["nb", "mor"], default="nb",
+        help="nb = naive Bayes, mor = multi-output ridge (default: %(default)s).")
+    add("--kernel", choices=["gaussian", "linear"], default="gaussian",
+        help="Kernel of the ridge ranker (default: %(default)s).")
+    add("--lambda-grid", help="Comma-separated regularization grid (default: 2^-7..2^7).")
+    add("--sigma-grid", help="Comma-separated kernel width grid (default: sigma^2 = 2^-3..2^9).")
+    add("--split", type=float, default=0.70,
+        help="Training fraction of the grid-search split (default: %(default)s).")
+    add("--chrono-split", action="store_true",
+        help="Split train/validation chronologically instead of shuffling.")
+    add("--regrid", choices=["once", "always"], default="once",
+        help="Re-run the grid search at every step or once (default: %(default)s).")
+    add("--smoothing", type=float, default=1.0,
+        help="Additive smoothing for the naive Bayes counts (default: %(default)s).")
+    add("--train-rows", choices=["theorems", "all"], default="theorems",
+        help="Roles that contribute training rows; all are premises (default: %(default)s).")
+    add("--seed", type=int, default=0, help="Grid-search split seed (default: %(default)s).")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="premsel", description="Premise selection over first-order corpora.",
+        allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"premsel, version {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name):
+        doc = COMMANDS[name].__doc__
+        sub = subparsers.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        return sub.add_argument
+
+    add = command("rank")
+    _ranking_options(add)
+    add("--conjecture", required=True, help="Identifier of the item to rank for.")
+    add("-n", "--top", dest="top_n", type=int, default=10,
+        help="Number of premises printed (default: %(default)s).")
+    add("--out-dir", help="Also write advice.csv and metadata here.")
+
+    add = command("eval")
+    _ranking_options(add)
+    add("--conjectures", help="Comma-separated ids to evaluate.")
+    add("--conjecture-roles", default="theorem",
+        help="Roles evaluated when --conjectures is not given (default: %(default)s).")
+    add("--n-set", default=DEFAULT_N_SET,
+        help="Comma-separated n values for recall@n (default: %(default)s).")
+    # accepted without effect: perfbench/workloads.py and tests/test_trace_targets.py pass it
+    add("--jobs", type=int, default=1, help=argparse.SUPPRESS)
+    add("--out-dir", required=True)
+
+    add = command("emit")
+    _ranking_options(add)
+    add("--mode", choices=EMIT_MODES, required=True)
+    add("-n", "--top", dest="top_n", type=int, help="Number of advised premises (advised only).")
+    add("--conjectures", help="Comma-separated ids to emit.")
+    add("--conjecture-roles", default="theorem",
+        help="Roles emitted when --conjectures is not given (default: %(default)s).")
+    add("--out-dir", required=True)
+
+    add = command("minimize")
+    add("--oracle-cmd", required=True, help="Command run per probe; candidate ids on stdin, "
+                                             "exit 0 = sufficient; its output is discarded.")
+    add("--ids", help="Comma-separated candidate ids.")
+    add("--ids-file", help="File with one candidate id per line.")
+    add("--order", choices=["given", "reverse"], default="given",
+        help="Order of the greedy pass; not with --batch (default: %(default)s).")
+    add("--batch", action="store_true", help="Chunked passes before the element-wise pass.")
+    add("--schedule", help="Comma-separated chunk sizes for --batch.")
+    add("--trace-csv", help="Write the removal trace here.")
+    add("--oracle-timeout", type=float, metavar="SECONDS",
+        help="Kill a probe after this long and count it insufficient (default: none).")
+    add("--out-dir", help="Also write metadata here.")
+    return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line; return 0 or raise ``SystemExit`` with the exit code."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:  # click's form of KeyboardInterrupt
-        click.echo("aborted", err=True)
-        sys.exit(EXIT_INTERRUPTED)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_CONFIG)
+        try:
+            options = vars(_parser().parse_args(argv))
+            command = options.pop("command")
+            COMMANDS[command](**options)
+            if options["out_dir"] is not None:
+                _write_metadata(options["out_dir"], command, options)
+        finally:  # also after an error: a closed stdout fails here, not at interpreter exit
+            sys.stdout.flush()
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "aborted"
+    except BrokenPipeError:  # a failed flush keeps the bytes: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except (FofSyntaxError, CorpusError) as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        code, message = EXIT_CONFIG, f"configuration error: {exc}"
+    except CorpusError as exc:
+        code, message = EXIT_PARSE, f"parse error: {exc}"
     except (PremselError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    return 0
+        code, message = EXIT_RUNTIME, f"error: {exc}"
+    else:
+        return 0
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 def run() -> None:

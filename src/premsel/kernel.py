@@ -522,8 +522,8 @@ def _permutation(seed: int, n: int) -> list[int]:
 
 
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
-    """Pick (lambda, kernel) minimizing validation loss; training on the
-    full view is left to :func:`ridge_train`.
+    """Pick (lambda, kernel) minimizing validation loss; the kernel ranker
+    then trains on the full view with :class:`RidgeFactor`.
 
     The loss of a point is ``|K_vt (K_tt + lam*I)^-1 Y_train - Y_val|^2``,
     computed as ``B^T Y_train - Y_val`` with ``B = (K_tt + lam*I)^-1 K_tv``:

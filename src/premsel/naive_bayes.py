@@ -110,7 +110,7 @@ def nb_score(model: NbModel, features: FeatureVector) -> np.ndarray:
     """Score every premise for a conjecture with the given features.
 
     Feature indices unknown to the model's dictionary must already have
-    been dropped (test-time vectorization does this).
+    been dropped (:meth:`Corpus.training_view` cuts them from the view).
     """
     idx = features.indices
     k = len(idx)

@@ -617,3 +617,20 @@ class TestHelp:
     def test_subcommand_help(self, command):
         result = run_cli(command, "--help")
         assert result.returncode == 0
+
+    @pytest.mark.parametrize("args, code, stdout", [
+        (["rank", "--form", TOY / "formulas.p", "--deps", TOY / "deps.txt",
+          "--conjecture", "th_plus_succ"], 2, ""),
+        ([], 2, ""),
+        (["minimize", "--oracle-cmd", "true", "--ids", "a", "--bogus"], 2, ""),
+        (["minimize", "--oracle-cmd", "grep -qx -- -a", "--ids=-a,b"], 0, "-a\n"),
+        (["-h"], 0, None),
+        (["--version"], 0, "premsel, version 0.1.0\n"),
+    ], ids=["abbreviation", "no-command", "unknown-option", "dash-value", "short-help",
+            "version"])
+    def test_argument_parsing_edge_cases(self, args, code, stdout):
+        result = run_cli(*args)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        if stdout is not None:
+            assert result.stdout == stdout

@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "data" / "toy"
 
@@ -118,6 +120,22 @@ def test_entry_point_freezes_the_heap_unless_warnings_or_dev_mode(tmp_path):
         assert len(outputs) == 1, outputs
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_also_when_the_command_then_fails(tmp_path, unbuffered):
+    # rank prints its advice, then cannot write advice.csv
+    (tmp_path / "advice.csv").mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_entry((), ["rank", *corpus(), "--conjecture", "th_plus_succ", "-n", "5",
+                             "--out-dir", str(tmp_path)], stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, "frozen=True\n")
+
 def test_entry_point_exit_codes_for_a_closed_stdout_and_ctrl_c(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the child's stdout fails
@@ -143,4 +161,4 @@ def test_entry_point_exit_codes_for_a_closed_stdout_and_ctrl_c(tmp_path):
     finally:
         proc.kill()
         proc.wait()
-    assert (proc.returncode, out, err) == (130, "", "\naborted\nfrozen=True\n")
+    assert (proc.returncode, out, err) == (130, "", "aborted\nfrozen=True\n")
