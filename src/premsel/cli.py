@@ -7,9 +7,10 @@ negative number is attached with ``=`` (``--ids=-a,b``).  Exit codes:
 (``premsel rank ... | head -1``), 2 configuration error (bad flags,
 missing files, unknown ids, an output path that cannot be written),
 3 corpus/formula parse error, 4 runtime error, 130 interrupted
-(Ctrl-C).  Once a command given an ``--out-dir`` has returned,
-:func:`main` writes ``run_metadata.json`` there, echoing the full
-configuration and seed, enough to reproduce the run byte for byte.
+(Ctrl-C).  Running out of memory is a runtime error too.  Once a
+command given an ``--out-dir`` has returned, :func:`main` writes
+``run_metadata.json`` there, echoing the full configuration, enough to
+reproduce the run byte for byte.
 ``python -m premsel`` and the ``premsel`` script call :func:`run`: it
 freezes the heap once the command has returned, so that shutdown skips
 a collection over it, except under ``-W`` or dev mode, where shutdown
@@ -125,8 +126,7 @@ def _load(formula_paths, dep_path):
     return load_corpus(formula_paths, dep_path)
 
 
-def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, regrid,
-                  smoothing, train_rows, seed):
+def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing, train_rows):
     """The command's ranker and the roles that contribute its training rows.
 
     Every command that ranks calls this before numpy first runs, so it
@@ -136,8 +136,7 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, split, chrono_split, 
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     grids = {"lambda_grid": _parse_floats(lambda_grid, "--lambda-grid"),
              "sigma_grid": _parse_floats(sigma_grid, "--sigma-grid")}
-    grid = GridSearchConfig(split=split, seed=seed, chronological=chrono_split,
-                            **{k: v for k, v in grids.items() if v is not None})
+    grid = GridSearchConfig(**{k: v for k, v in grids.items() if v is not None})
     row_roles = ("theorem",) if train_rows == "theorems" else ROLES
     if ranker == "nb":
         if not 0 < smoothing < math.inf:
@@ -305,17 +304,12 @@ def _ranking_options(add) -> None:
         help="Kernel of the ridge ranker (default: %(default)s).")
     add("--lambda-grid", help="Comma-separated regularization grid (default: 2^-7..2^7).")
     add("--sigma-grid", help="Comma-separated kernel width grid (default: sigma^2 = 2^-3..2^9).")
-    add("--split", type=float, default=0.70,
-        help="Training fraction of the grid-search split (default: %(default)s).")
-    add("--chrono-split", action="store_true",
-        help="Split train/validation chronologically instead of shuffling.")
     add("--regrid", choices=["once", "always"], default="once",
         help="Re-run the grid search at every step or once (default: %(default)s).")
     add("--smoothing", type=float, default=1.0,
         help="Additive smoothing for the naive Bayes counts (default: %(default)s).")
     add("--train-rows", choices=["theorems", "all"], default="theorems",
         help="Roles that contribute training rows; all are premises (default: %(default)s).")
-    add("--seed", type=int, default=0, help="Grid-search split seed (default: %(default)s).")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -393,8 +387,8 @@ def main(argv=None) -> int:
         code, message = EXIT_CONFIG, f"configuration error: {exc}"
     except CorpusError as exc:
         code, message = EXIT_PARSE, f"parse error: {exc}"
-    except (PremselError, OSError) as exc:
-        code, message = EXIT_RUNTIME, f"error: {exc}"
+    except (PremselError, OSError, MemoryError) as exc:
+        code, message = EXIT_RUNTIME, f"error: {str(exc) or type(exc).__name__}"
     else:
         return 0
     print(message, file=sys.stderr)

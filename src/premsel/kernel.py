@@ -7,8 +7,9 @@ candidate premises), and regularization ``lam > 0``, the coefficient
 matrix solves ``(K + lam*I) A = Y`` through a single symmetric
 positive-definite factorization.  A conjecture is scored as
 ``A^T k`` where ``k`` holds its kernel values against the training
-rows.  Hyperparameters come from a seeded 70/30 grid search, which needs
-only the validation predictions ``K_vt (K_tt + lam*I)^-1 Y_train``: it
+rows.  Hyperparameters come from a grid search that trains on the
+earliest 70% of the rows and validates on the rest, which needs only
+the validation predictions ``K_vt (K_tt + lam*I)^-1 Y_train``: it
 kernelizes one Gram matrix of all rows against the training rows once
 per sigma, solves for the validation columns ``K_tv``, not for one
 column per premise, takes one eigendecomposition of ``K_tt`` per sigma
@@ -31,10 +32,7 @@ the grid search's batched solve, share one residual check,
 Everything here is numpy alone: Gram matrices are exact counts from
 feature posting lists, :class:`RidgeFactor` solves with matrix-vector
 products, and :func:`ridge_solve` factors with ``numpy.linalg``.  numpy
-runs on first use (see ``premsel._lazy``).  The grid search's shuffle
-is numpy's ``default_rng(seed).permutation`` stream (SeedSequence,
-PCG64, Fisher-Yates), computed by :func:`_permutation` without loading
-``numpy.random``, so premsel pins it whatever numpy is installed.
+runs on first use (see ``premsel._lazy``).
 """
 
 from __future__ import annotations
@@ -56,6 +54,9 @@ RESIDUAL_BOUND = 1e-8
 # Logarithmic default grids; the sigma defaults square to 2^-3 .. 2^9.
 LAMBDA_GRID_DEFAULT = tuple(2.0**e for e in range(-7, 8, 2))
 SIGMA_GRID_DEFAULT = tuple(math.sqrt(2.0**e) for e in range(-3, 10, 2))
+
+# Share of the searched rows, the earliest, that the grid search trains on.
+TRAIN_SHARE = 0.7
 
 # Rows per block of RidgeFactor's panels.
 BLOCK_ROWS = 128
@@ -382,21 +383,17 @@ def ridge_score(model: RidgeModel, features: FeatureVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSearchConfig:
-    """Grids and split policy for hyperparameter search.
+    """Grids for hyperparameter search.
 
-    The loss is fixed to square loss.  The split is a seeded uniform
-    shuffle by default: the first ``split`` share of
-    ``numpy.random.default_rng(seed).permutation(n)``, the PCG64 stream
-    that premsel pins in :func:`_permutation`.  ``chronological=True``
-    instead trains on the earliest rows and validates on the latest.
-    Every sigma of ``sigma_grid`` must pass :class:`KernelSpec`'s check.
+    The loss is fixed to square loss, and the split to a chronological
+    one: of ``n`` searched rows, the first ``round(TRAIN_SHARE * n)``
+    train and the rest validate, as a walk trains on the past to rank
+    the future.  Every sigma of ``sigma_grid`` must pass
+    :class:`KernelSpec`'s check.
     """
 
     lambda_grid: tuple[float, ...] = LAMBDA_GRID_DEFAULT
     sigma_grid: tuple[float, ...] = SIGMA_GRID_DEFAULT
-    split: float = 0.70
-    seed: int = 0
-    chronological: bool = False
 
     def __post_init__(self):
         if not self.lambda_grid or not self.sigma_grid:
@@ -409,10 +406,6 @@ class GridSearchConfig:
             repeated = [v for v in set(grid) if grid.count(v) > 1]
             if repeated:
                 raise ConfigError(f"{name} grid repeats the value {min(repeated)!r}")
-        if not 0 < self.split < 1:
-            raise ConfigError(f"split fraction must lie in (0, 1), got {self.split}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -447,80 +440,6 @@ def _ridge_columns(K_tt: np.ndarray, K_tv: np.ndarray, lams) -> np.ndarray:
     return _checked_solve(solve, apply, K_tv[:, None, :])
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _permutation(seed: int, n: int) -> list[int]:
-    """``numpy.random.default_rng(seed).permutation(n)`` as a list, bit for
-    bit, without loading ``numpy.random`` (which also loads ``secrets``
-    and ``hashlib``).  numpy does not promise that a ``Generator`` method
-    keeps its stream across numpy versions (NEP 19); this copy pins it.
-
-    Three steps, as numpy 2.x takes them: ``SeedSequence(seed)`` hashes
-    the seed's 32-bit words, least significant first, into a pool of four
-    words and draws four 64-bit words from it; PCG64, a 128-bit LCG with
-    XSL-RR output, is seeded with the first two as its state and the
-    last two as its increment; and a Fisher-Yates shuffle of ``0 … n-1``
-    swaps position ``i``, from ``n-1`` down to 1, with a ``j <= i`` drawn
-    by masked rejection from buffered 32-bit halves of the 64-bit outputs
-    (low half first).  ``n`` is at most 2^32, so every ``i`` fits in 32
-    bits.
-    """
-    words = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        words.append(seed & _M32)
-    mult = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal mult
-        value ^= mult
-        mult = mult * 0x931E8875 & _M32
-        value = value * mult & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult, seeds = 0x8B51F9DD, 0
-    for i in range(8):  # generate_state(4, uint64), as one 256-bit little-endian number
-        value = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & _M32
-        value = value * mult & _M32
-        seeds |= (value ^ value >> 16) << 32 * i
-    # words 0, 1, 2, 3 of 64 bits: state = word0 * 2^64 + word1, increment from words 2, 3
-    initial = (seeds & _M64) << 64 | seeds >> 64 & _M64
-    inc = ((seeds >> 128 & _M64) << 64 | seeds >> 192) << 1 & _M128 | 1
-    lcg = 0x2360ED051FC65DA44385DF649FCCF645
-    state = ((inc + initial) * lcg + inc) & _M128
-    spare = None  # the high half of the last output, while not drawn yet
-
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        while True:
-            if spare is not None:
-                j, spare = spare & mask, None
-            else:
-                state = (state * lcg + inc) & _M128
-                x, rot = (state >> 64 ^ state) & _M64, state >> 122
-                out = (x >> rot | x << (64 - rot)) & _M64
-                j, spare = out & mask, out >> 32
-            if j <= i:
-                break
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) -> GridSearchResult:
     """Pick (lambda, kernel) minimizing validation loss; the kernel ranker
     then trains on the full view with :class:`RidgeFactor`.
@@ -528,9 +447,10 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     The loss of a point is ``|K_vt (K_tt + lam*I)^-1 Y_train - Y_val|^2``,
     computed as ``B^T Y_train - Y_val`` with ``B = (K_tt + lam*I)^-1 K_tv``:
     one right-hand side per validation row, not one per premise.  The
-    Gram matrix of the training, then the validation rows against the
-    training rows is kernelized once per sigma into ``K_tt`` over
-    ``K_vt``, and one eigendecomposition of ``K_tt`` serves every lambda.
+    rows split as :class:`GridSearchConfig` says.  The Gram matrix of all
+    rows against the training rows is kernelized once per sigma into
+    ``K_tt`` over ``K_vt``, and one eigendecomposition of ``K_tt`` serves
+    every lambda.
     The table runs lambda by lambda, sigma by sigma within each; its first
     minimum is chosen, so ties go to the smaller lambda, then sigma."""
     if kernel_kind == "gaussian":
@@ -540,13 +460,10 @@ def grid_search(view: TrainingView, kernel_kind: str, config: GridSearchConfig) 
     n = len(view.rows)
     if n < 2:
         raise TrainingError("grid search needs at least 2 training rows")
-    order = range(n) if config.chronological else _permutation(config.seed, n)
-    n_train = min(max(int(round(config.split * n)), 1), n - 1)
-    # the training rows, then the validation rows, each in view order
-    split = sorted(order[:n_train]) + sorted(order[n_train:])
-    Y = _label_matrix(view)[split]
+    n_train = round(TRAIN_SHARE * n)  # in [1, n - 1] for n >= 2
+    Y = _label_matrix(view)
     Y_train, Y_val = Y[:n_train], Y[n_train:]
-    vectors = [view.rows[i].features for i in split]
+    vectors = [row.features for row in view.rows]
     gram = _gram(vectors, vectors[:n_train])
     sizes = [len(v) for v in vectors]
 

@@ -162,7 +162,7 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
                 [f"p{i}" for i in range(5)],
             )
             kind = ("gaussian", "linear")[trial % 2]
-            kernel.grid_search(view, kind, GridSearchConfig(seed=trial))
+            kernel.grid_search(view, kind, GridSearchConfig())
         assert len(solves) == 10 * len(GridSearchConfig().sigma_grid) + 10
         check_grid_solves()
 
@@ -364,7 +364,7 @@ def _planted_run(tmp_path, noise, tag):
     f, d = write_corpus(tmp_path / tag, formulas, deps)
     nb = run_incremental(load_corpus([f], d), NaiveBayesRanker(), n_values=[5, 10])
     ridge = KernelRidgeRanker(
-        grid=GridSearchConfig(lambda_grid=(0.3,), sigma_grid=(1.0,), seed=SEED)
+        grid=GridSearchConfig(lambda_grid=(0.3,), sigma_grid=(1.0,))
     )
     mor = run_incremental(load_corpus([f], d), ridge, n_values=[5, 10])
     return nb, mor
@@ -501,7 +501,7 @@ def test_criterion_9d_byte_identical_csvs_across_runs_and_jobs(tmp_path):
         def run_eval(out, *flags, env=unset):
             result = subprocess.run(
                 [sys.executable, "-m", "premsel", "eval",
-                 "--formulas", str(f), "--deps", str(d), "--n-set", "1,5,10", "--seed", "3",
+                 "--formulas", str(f), "--deps", str(d), "--n-set", "1,5,10",
                  *flags, "--out-dir", str(out)],
                 capture_output=True, text=True, env=env,
             )

@@ -13,6 +13,7 @@ from premsel.corpus import load_corpus
 from premsel.errors import TrainingError
 from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, select_conjectures
 from premsel.fol import parse_file, print_item
+from premsel.kernel import RidgeFactor
 
 from helpers import planted_corpus_text, walk_advice, write_corpus
 
@@ -95,7 +96,7 @@ class TestRank:
         assert len(advice) == 4
         metadata = json.loads((out / "run_metadata.json").read_text())
         assert metadata["command"] == "rank"
-        assert metadata["options"]["seed"] == 0
+        assert metadata["options"]["conjecture"] == "th_plus_succ"
 
     def test_advice_csv_quotes_ids(self, tmp_path):
         f, d = write_corpus(tmp_path, "fof('x,y', axiom, p(a)).\nfof(b1, axiom, q(b)).\n"
@@ -159,21 +160,13 @@ class TestEval:
         assert again.returncode == 0, again.stderr
         assert not (out / "grid_loss.csv").exists()
 
-    def test_invalid_split_fails_before_any_computation(self, tmp_path):
-        out = tmp_path / "report"
-        result = run_cli("eval", *toy_args(), "--ranker", "mor", "--split", "1.5",
-                         "--out-dir", out)
-        assert result.returncode == 2
-        assert "split" in result.stderr
-        assert not out.exists()
-
     @pytest.mark.parametrize("flags", [
         ["--ranker", "mor", "--lambda-grid", "inf"],
         ["--ranker", "mor", "--sigma-grid", "inf"],
         ["--smoothing", "inf"],
         ["--smoothing", "nan"],
-        ["--ranker", "mor", "--seed", "-1"],
-        ["--ranker", "nb", "--seed", "-1"],
+        ["--ranker", "mor", "--lambda-grid", "nan"],
+        ["--ranker", "mor", "--sigma-grid", "nan"],
         ["--ranker", "mor", "--sigma-grid", "1e200"],  # sigma^2 overflows
         ["--ranker", "mor", "--sigma-grid", "1e-170"],  # sigma^2 underflows to 0
     ])
@@ -267,13 +260,35 @@ class TestEval:
         assert f"parse error: {broken}: 'utf-8' codec can't decode byte 0xff" in result.stderr
         assert not out.exists()
 
+    def test_running_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        f, d = write_corpus(tmp_path, *planted_corpus_text(
+            n_items=40, n_topics=4, feats_per_topic=6, seed=3))
+        append = RidgeFactor._append
+        appended = []
+
+        def failing(self, i, row):
+            appended.append(i)
+            if i == 12:  # as a panel that cannot be allocated fails
+                raise MemoryError
+            append(self, i, row)
+
+        monkeypatch.setattr(RidgeFactor, "_append", failing)
+        out = tmp_path / "report"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["eval", "-f", str(f), "--deps", str(d), "--ranker", "mor",
+                      "--out-dir", str(out)])
+        assert exit_info.value.code == 4
+        assert 12 in appended
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not (out / "conjectures.csv").exists()
+
     def test_metadata_echoes_configuration(self, tmp_path):
         out = tmp_path / "report"
-        run_cli("eval", *toy_args(), "--n-set", "1,2", "--seed", "9",
+        run_cli("eval", *toy_args(), "--n-set", "1,2", "--smoothing", "0.5",
                 "--out-dir", out)
         metadata = json.loads((out / "run_metadata.json").read_text())
         assert metadata["command"] == "eval"
-        assert metadata["options"]["seed"] == 9
+        assert metadata["options"]["smoothing"] == 0.5
         assert metadata["options"]["n_set"] == "1,2"
         assert metadata["version"]
 
@@ -556,8 +571,7 @@ class TestMinimize:
 
 RANKER_OPTIONS = {
     "ranker": "nb", "kernel": "gaussian", "lambda_grid": None, "sigma_grid": None,
-    "split": 0.7, "chrono_split": False, "regrid": "once", "smoothing": 1.0,
-    "train_rows": "theorems", "seed": 0,
+    "regrid": "once", "smoothing": 1.0, "train_rows": "theorems",
 }
 CORPUS_OPTIONS = {"formulas": [str(TOY / "formulas.p")], "deps": str(TOY / "deps.txt")}
 
@@ -569,8 +583,8 @@ class TestMetadata:
             {**CORPUS_OPTIONS, **RANKER_OPTIONS, "conjecture": "th_plus_one", "n": 2},
         ),
         "eval": (
-            ["eval", *toy_args(), "--n-set", "1,2", "--jobs", "2", "--seed", "3"],
-            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "seed": 3, "conjectures": None,
+            ["eval", *toy_args(), "--n-set", "1,2", "--jobs", "2", "--regrid", "always"],
+            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "regrid": "always", "conjectures": None,
              "conjecture_roles": "theorem", "n_set": "1,2"},
         ),
         "emit-bushy": (
@@ -608,11 +622,6 @@ class TestMetadata:
 
 
 class TestHelp:
-    def test_version_flag(self):
-        result = run_cli("--version")
-        assert result.returncode == 0
-        assert "premsel" in result.stdout
-
     @pytest.mark.parametrize("command", ["rank", "eval", "emit", "minimize"])
     def test_subcommand_help(self, command):
         result = run_cli(command, "--help")
@@ -626,8 +635,12 @@ class TestHelp:
         (["minimize", "--oracle-cmd", "grep -qx -- -a", "--ids=-a,b"], 0, "-a\n"),
         (["-h"], 0, None),
         (["--version"], 0, "premsel, version 0.1.0\n"),
+        # the grid search's split is fixed: these options are gone
+        (["eval", *toy_args(), "--out-dir", "out", "--seed", "0"], 2, ""),
+        (["eval", *toy_args(), "--out-dir", "out", "--split", "0.7"], 2, ""),
+        (["eval", *toy_args(), "--out-dir", "out", "--chrono-split"], 2, ""),
     ], ids=["abbreviation", "no-command", "unknown-option", "dash-value", "short-help",
-            "version"])
+            "version", "seed", "split", "chrono-split"])
     def test_argument_parsing_edge_cases(self, args, code, stdout):
         result = run_cli(*args)
         assert result.returncode == code, result.stderr

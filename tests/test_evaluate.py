@@ -223,7 +223,7 @@ class TestKernelRidgeRanker:
             premise_ids=("p0", "p1"),
             conjecture_indices=(0, 2),
         )
-        config = GridSearchConfig(seed=5)
+        config = GridSearchConfig()
         ranker = KernelRidgeRanker(grid=config, regrid=regrid)
         advice = ranker.advise(view)
 

@@ -273,13 +273,13 @@ class TestGridSearch:
         )
 
     def test_single_point_grid_returns_that_point(self):
-        config = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,), seed=1)
+        config = GridSearchConfig(lambda_grid=(0.5,), sigma_grid=(2.0,))
         result = grid_search(self._simple_view(), "gaussian", config)
         assert (result.best_lambda, result.best_kernel) == (0.5, KernelSpec("gaussian", 2.0))
         assert len(result.table) == 1
 
     def test_exactly_fitting_point_is_chosen(self):
-        # Chronological split puts the third row in validation.  Its
+        # The chronological split puts the third row in validation.  Its
         # features are far from both training rows, so with a tiny
         # kernel width the exponent underflows, predictions are exactly
         # zero, and the validation loss is exactly zero; the wide kernel
@@ -288,9 +288,7 @@ class TestGridSearch:
             rows=[([0], {0}), ([1], set()), ([5], set())],
             premise_ids=("p0",),
         )
-        config = GridSearchConfig(
-            lambda_grid=(0.01,), sigma_grid=(0.01, 10.0), split=0.67, chronological=True
-        )
+        config = GridSearchConfig(lambda_grid=(0.01,), sigma_grid=(0.01, 10.0))
         result = grid_search(view, "gaussian", config)
         assert (result.best_lambda, result.best_kernel) == (0.01, KernelSpec("gaussian", 0.01))
         zero_loss = [loss for _, sigma, loss in result.table if sigma == 0.01]
@@ -304,12 +302,12 @@ class TestGridSearch:
             rows=[([0], set()), ([1], set()), ([2], set())],
             premise_ids=("p0",),
         )
-        config = GridSearchConfig(lambda_grid=(4.0, 0.25, 1.0), sigma_grid=(3.0, 0.5), seed=7)
+        config = GridSearchConfig(lambda_grid=(4.0, 0.25, 1.0), sigma_grid=(3.0, 0.5))
         result = grid_search(view, "gaussian", config)
         assert (result.best_lambda, result.best_kernel) == (0.25, KernelSpec("gaussian", 0.5))
 
-    def test_deterministic_under_fixed_seed(self):
-        config = GridSearchConfig(seed=123)
+    def test_deterministic(self):
+        config = GridSearchConfig()
         first = grid_search(self._simple_view(), "gaussian", config)
         second = grid_search(self._simple_view(), "gaussian", config)
         assert first.table == second.table
@@ -327,9 +325,11 @@ class TestGridSearch:
         with pytest.raises(TrainingError):
             grid_search(view, "gaussian", GridSearchConfig())
 
-    def test_bad_split_rejected_before_work(self):
-        with pytest.raises(ConfigError):
-            GridSearchConfig(split=1.5)
+    def test_the_split_leaves_a_row_on_each_side(self):
+        for n in range(2, 100_000):
+            assert 1 <= round(kernel.TRAIN_SHARE * n) <= n - 1, n
+
+    def test_bad_grids_rejected_before_work(self):
         with pytest.raises(ConfigError):
             GridSearchConfig(lambda_grid=())
         for sigma in (-2.0, 1e200, 1e-170):
@@ -343,35 +343,13 @@ class TestGridSearch:
             GridSearchConfig(sigma_grid=(0.5, 0.5))
 
 
-class TestSplitPermutation:
-    """The grid search's split is numpy's ``default_rng(seed).permutation(n)``
-    stream, computed without ``numpy.random``."""
-
-    SEEDS = (*range(16), 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3, 2**96 - 1,
-             2**128, 2**130, 12345678901234567890, 3**90, 2**200 + 1)
-    SIZES = (*range(1, 34), 63, 64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025,
-             2047, 2048, 2049, 2078)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_numpy(self, seed):
-        for n in self.SIZES:
-            expected = np.random.default_rng(seed).permutation(n).tolist()
-            assert kernel._permutation(seed, n) == expected, (seed, n)
-
-    def test_sizes_one_to_2078_at_one_seed(self):
-        for n in range(1, 2079):
-            assert kernel._permutation(1, n) == np.random.default_rng(1).permutation(n).tolist()
-
-
 def _reference_grid_search(view, kernel_kind, config):
     """The per-point loop the eigendecomposition replaced: one pool-wide
-    ``ridge_solve`` per (lambda, sigma), loss ``|K_vt A - Y_val|^2``."""
+    ``ridge_solve`` per (lambda, sigma), loss ``|K_vt A - Y_val|^2``, on
+    the earliest 70% of the rows against the rest."""
     n = len(view.rows)
-    order = np.arange(n)
-    if not config.chronological:
-        order = np.random.default_rng(config.seed).permutation(n)
-    n_train = min(max(int(round(config.split * n)), 1), n - 1)
-    train_idx, val_idx = np.sort(order[:n_train]), np.sort(order[n_train:])
+    n_train = round(0.7 * n)
+    train_idx, val_idx = np.arange(n_train), np.arange(n_train, n)
     Y = np.zeros((n, len(view.premise_ids)))
     for r, row in enumerate(view.rows):
         Y[r, list(row.used)] = 1.0
@@ -407,26 +385,22 @@ class TestGridSearchAgainstReference:
     grid point: same chosen point, losses equal to 1e-12 relative."""
 
     @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
-    @pytest.mark.parametrize("chronological", [False, True], ids=["shuffled", "chronological"])
-    def test_random_views(self, kernel_kind, chronological):
+    def test_random_views(self, kernel_kind):
         rng = np.random.default_rng(21)
-        for trial in range(12):
+        for _ in range(24):
             view = _random_view(rng, int(rng.integers(2, 40)), pool=int(rng.integers(1, 9)))
-            config = GridSearchConfig(seed=trial, chronological=chronological)
-            _assert_matches_reference(view, kernel_kind, config)
+            _assert_matches_reference(view, kernel_kind, GridSearchConfig())
 
     @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
     def test_one_validation_row(self, kernel_kind):
         rng = np.random.default_rng(22)
-        for n in (2, 3, 12):
-            # round(n - 0.5) training rows is n - 1 or n, clamped to n - 1
-            config = GridSearchConfig(split=1 - 0.5 / n, seed=n)
-            _assert_matches_reference(_random_view(rng, n), kernel_kind, config)
+        for n in (2, 3):  # round(0.7 * n) = n - 1 training rows
+            _assert_matches_reference(_random_view(rng, n), kernel_kind, GridSearchConfig())
 
     @pytest.mark.parametrize("kernel_kind", ["gaussian", "linear"])
     def test_empty_pool(self, kernel_kind):
         view = _random_view(np.random.default_rng(23), 10, pool=0)
-        result = _assert_matches_reference(view, kernel_kind, GridSearchConfig(seed=3))
+        result = _assert_matches_reference(view, kernel_kind, GridSearchConfig())
         assert {loss for _, _, loss in result.table} == {0.0}
 
 
@@ -440,7 +414,7 @@ class TestGridSearchPoolCut:
                              ids=["planted", "rich"])
     def test_the_cut_keeps_the_point_and_the_losses_to_rounding(self, tmp_path, corpus_text):
         cut_premises = 0
-        for seed in (1, 2):
+        for seed in (1, 2, 3, 4):
             directory = tmp_path / f"seed{seed}"
             directory.mkdir()
             formulas, deps = write_corpus(directory, *corpus_text(
@@ -455,15 +429,14 @@ class TestGridSearchPoolCut:
                                           premise_ids=view.premise_ids[: rows[-1].position + 1])
                 cut_premises += len(full.premise_ids) - len(cut.premise_ids)
                 for kind in ("gaussian", "linear"):
-                    for chronological in (False, True):
-                        config = GridSearchConfig(seed=seed, chronological=chronological)
-                        got, want = grid_search(cut, kind, config), grid_search(full, kind, config)
-                        assert (got.best_lambda, got.best_kernel) == (want.best_lambda,
-                                                                      want.best_kernel)
-                        assert [row[:2] for row in got.table] == [row[:2] for row in want.table]
-                        for (_, _, a), (_, _, b) in zip(got.table, want.table):
-                            assert a == pytest.approx(b, rel=1e-14, abs=0)
-        assert cut_premises > 100
+                    config = GridSearchConfig()
+                    got, want = grid_search(cut, kind, config), grid_search(full, kind, config)
+                    assert (got.best_lambda, got.best_kernel) == (want.best_lambda,
+                                                                  want.best_kernel)
+                    assert [row[:2] for row in got.table] == [row[:2] for row in want.table]
+                    for (_, _, a), (_, _, b) in zip(got.table, want.table):
+                        assert a == pytest.approx(b, rel=1e-14, abs=0)
+        assert cut_premises > 200
 
 
 def _shift_eigenvalues(monkeypatch, shift):
@@ -483,7 +456,7 @@ class TestGridSearchResidual:
     """Mirrors :class:`TestRidgeFactor`'s residual tests for the grid
     search's eigenbasis solves."""
 
-    CONFIG = GridSearchConfig(lambda_grid=(0.5, 1.0, 4.0), sigma_grid=(1.0, 3.0), seed=5)
+    CONFIG = GridSearchConfig(lambda_grid=(0.5, 1.0, 4.0), sigma_grid=(1.0, 3.0))
 
     def _view(self):
         return _random_view(np.random.default_rng(24), 25)
