@@ -22,7 +22,7 @@ from .evaluate import (
     report_csv,
     run_incremental,
 )
-from .features import FeatureDictionary, FeatureVector, extract_features, vectorize
+from .features import FeatureVector, extract_features, vectorize
 from .fol import NamedItem, parse_file, parse_item, parse_items, print_item
 from .kernel import (
     GridSearchConfig,
@@ -50,7 +50,7 @@ __all__ = [
     "ConfigError", "CorpusError", "FofSyntaxError", "PremselError", "TrainingError",
     "KernelRidgeRanker", "NaiveBayesRanker", "RankedAdvice", "RecallReport",
     "emit_problems", "rank_advice", "recall_at", "report_csv", "run_incremental",
-    "FeatureDictionary", "FeatureVector", "extract_features", "vectorize",
+    "FeatureVector", "extract_features", "vectorize",
     "NamedItem", "parse_file", "parse_item", "parse_items", "print_item",
     "GridSearchConfig", "GridSearchResult", "KernelSpec", "RidgeModel",
     "build_kernel_matrix", "grid_search", "kernel_eval", "ridge_score", "ridge_solve",

@@ -139,8 +139,6 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing, tr
     grid = GridSearchConfig(**{k: v for k, v in grids.items() if v is not None})
     row_roles = ("theorem",) if train_rows == "theorems" else ROLES
     if ranker == "nb":
-        if not 0 < smoothing < math.inf:
-            raise ConfigError("--smoothing must be finite and positive")
         return NaiveBayesRanker(smoothing=smoothing), row_roles
     return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid), row_roles
 

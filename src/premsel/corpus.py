@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CorpusError, FofSyntaxError, TrainingError
-from .features import FeatureDictionary, FeatureVector, vectorize
+from .features import FeatureVector, vectorize
 from .fol import NamedItem, parse_items
 
 
@@ -125,16 +125,16 @@ class Corpus:
         """Featurize every entry in one chronological pass; run once, by
         the constructor.
 
-        Builds ``dictionary``, one training row per entry in ``rows``,
-        and per entry the dictionary size before its own features were
-        appended, i.e. the number of feature indices that existed
-        strictly before it.
+        Builds ``dictionary``, a ``dict`` from feature key to index in
+        first-seen order, one training row per entry in ``rows``, and per
+        entry the dictionary size before its own features were appended,
+        i.e. the number of feature indices that existed strictly before it.
         """
-        dictionary = FeatureDictionary()
+        dictionary: dict[str, int] = {}
         rows, known = [], []
         for entry in self.entries:
             known.append(len(dictionary))
-            features = vectorize(entry.item.formula, dictionary, extend=True)
+            features = vectorize(entry.item.formula, dictionary)
             used = frozenset(self._position[d] for d in entry.dependencies)
             rows.append(TrainingRow(entry.position, features, used))
         self.dictionary = dictionary

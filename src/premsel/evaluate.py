@@ -249,7 +249,8 @@ def run_incremental(
     The ranker carries its state from one step to the next, but advice
     is a function of the view alone, so it does not depend on which
     other positions are selected.  A step's :class:`PremselError` is
-    recorded on its outcome and the run continues.
+    recorded on its outcome and the run continues; a ``MemoryError``
+    ends the run, re-raised with a message that names the step.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
     if not n_values or n_values[0] < 1:
@@ -268,11 +269,15 @@ def run_incremental(
             recalls=None,
         )
         outcomes.append(outcome)
+        view = corpus.training_view(position, row_roles)
         try:
-            advice = ranker.advise(corpus.training_view(position, row_roles))
+            advice = ranker.advise(view)
         except PremselError as exc:
             outcome.error = str(exc)
             continue
+        except MemoryError as exc:
+            raise MemoryError(f"out of memory at {entry.name} (position {position}, "
+                              f"{len(view.rows)} training rows)") from exc
         outcome.fallback = advice.fallback
         if used:
             outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}

@@ -1,5 +1,5 @@
-"""Formula features: symbol and subterm keys, the shared append-only
-feature dictionary, and sparse binary feature vectors.
+"""Formula features: symbol and subterm keys, and sparse binary feature
+vectors over a plain ``dict`` that maps each key to its first-seen index.
 
 A formula is characterized by two kinds of keys: ``s:<name>/<arity>``
 for every function, predicate, or constant symbol occurring in it
@@ -50,43 +50,6 @@ def extract_features(formula: Formula) -> frozenset[str]:
     return frozenset(keys)
 
 
-class FeatureDictionary:
-    """Append-only enumeration of feature keys; index = insertion order.
-
-    Extending the dictionary never changes existing indices, so feature
-    vectors built against an earlier state stay valid.  Extension is the
-    only mutation.
-    """
-
-    __slots__ = ("_keys", "_index")
-
-    def __init__(self):
-        self._keys: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
-    def add(self, key: str) -> int:
-        """Return the index of ``key``, appending it if unknown."""
-        existing = self._index.get(key)
-        if existing is not None:
-            return existing
-        index = len(self._keys)
-        self._keys.append(key)
-        self._index[key] = index
-        return index
-
-    def lookup(self, key: str) -> int | None:
-        return self._index.get(key)
-
-    def key_at(self, index: int) -> str:
-        return self._keys[index]
-
-
 class FeatureVector:
     """Sorted distinct feature indices: the sparse form of a 0/1 vector."""
 
@@ -118,20 +81,12 @@ class FeatureVector:
         return len(set(self.indices).intersection(other.indices))
 
 
-def vectorize(formula: Formula, dictionary: FeatureDictionary, extend: bool = False) -> FeatureVector:
-    """Feature vector of ``formula`` against ``dictionary``.
+def vectorize(formula: Formula, dictionary: dict[str, int]) -> FeatureVector:
+    """Feature vector of ``formula``, appending its unknown keys to
+    ``dictionary`` (key -> index) at the next free index.
 
-    Unknown keys are appended when ``extend`` is set and silently dropped
-    otherwise (the test-time behavior for features never seen in
-    training).  Keys are processed in sorted order so index assignment
-    is deterministic.
+    Keys are appended in sorted order, so index assignment is
+    deterministic; existing indices never change.
     """
-    indices = []
-    for key in sorted(extract_features(formula)):
-        index = dictionary.lookup(key)
-        if index is None:
-            if not extend:
-                continue
-            index = dictionary.add(key)
-        indices.append(index)
-    return FeatureVector(indices)
+    return FeatureVector([dictionary.setdefault(key, len(dictionary))
+                          for key in sorted(extract_features(formula))])

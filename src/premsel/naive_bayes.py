@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_module
 from .corpus import RowState, TrainingRow, TrainingView
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .features import FeatureVector
 
 np = lazy_module("numpy")
@@ -67,7 +67,7 @@ def _base(row_count: int, u: int, smoothing: float) -> float:
 
 def _check_smoothing(smoothing: float) -> None:
     if not 0 < smoothing < math.inf:
-        raise ValueError("smoothing must be finite and positive")
+        raise ConfigError("smoothing must be finite and positive")
 
 
 def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:

@@ -279,7 +279,9 @@ class TestEval:
                       "--out-dir", str(out)])
         assert exit_info.value.code == 4
         assert 12 in appended
-        assert capsys.readouterr().err == "error: MemoryError\n"
+        # the line names the step: row 12 failed, so the view held 13 rows
+        assert (capsys.readouterr().err
+                == "error: out of memory at th025 (position 25, 13 training rows)\n")
         assert not (out / "conjectures.csv").exists()
 
     def test_metadata_echoes_configuration(self, tmp_path):

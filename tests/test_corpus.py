@@ -7,7 +7,7 @@ import pytest
 
 from premsel.corpus import load_corpus, parse_dependency_lines
 from premsel.errors import CorpusError
-from premsel.features import FeatureDictionary, vectorize
+from premsel.features import extract_features, vectorize
 from premsel.fol import ROLES, parse_items
 
 from helpers import (
@@ -137,7 +137,8 @@ class TestTrainingView:
         text = "fof(t1, axiom, p(a)).\nfof(t2, theorem, p(b)).\nfof(t3, theorem, q(b)).\n"
         corpus = _load(tmp_path, formulas=text, deps="")
         view = corpus.training_view(1)
-        visible_keys = {corpus.dictionary.key_at(i) for i in view.conjecture_features}
+        key_of = {index: key for key, index in corpus.dictionary.items()}
+        visible_keys = {key_of[i] for i in view.conjecture_features}
         assert visible_keys == {"s:p/1"}
         assert "s:b/0" in corpus.dictionary  # known globally, hidden at step 1
 
@@ -156,11 +157,12 @@ class TestTrainingView:
             used[target] = {position[name] for name in rest.split()}
         # Visible features are the conjecture's keys already in the
         # dictionary before it; rows carry every key of their item.
-        dictionary = FeatureDictionary()
+        dictionary = {}
         rows = []
         for i, item in enumerate(items):
-            visible = vectorize(item.formula, dictionary).indices
-            features = vectorize(item.formula, dictionary, extend=True).indices
+            visible = tuple(sorted(dictionary[k] for k in extract_features(item.formula)
+                                   if k in dictionary))
+            features = vectorize(item.formula, dictionary).indices
             view = corpus.training_view(i, row_roles)
             assert view.premise_ids == tuple(it.name for it in items[:i])
             assert [(r.position, r.features.indices, set(r.used)) for r in view.rows] == rows

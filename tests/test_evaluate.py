@@ -621,6 +621,22 @@ class TestRunIncremental:
         assert by_id["item3"].error == "boom"
         assert by_id["item3"].recalls is None
 
+    def test_running_out_of_memory_names_the_step(self, tmp_path):
+        f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
+                            "item3: item1\nitem4: item1\n")
+        original = MemoryError()
+
+        class Hungry(NaiveBayesRanker):
+            def advise(self, view):
+                if view.conjecture_id == "item4":
+                    raise original
+                return super().advise(view)
+
+        with pytest.raises(MemoryError) as info:
+            run_incremental(load_corpus([f], d), Hungry(), n_values=[1])
+        assert str(info.value) == "out of memory at item4 (position 3, 1 training rows)"
+        assert info.value.__cause__ is original
+
     def test_non_finite_scores_are_recorded_as_step_errors(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
                             "item3: item1\nitem4: item1\n")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from premsel.features import FeatureDictionary, FeatureVector, extract_features, vectorize
+from premsel.features import FeatureVector, extract_features, vectorize
 from premsel.fol import And, Not, parse_item
 
 from helpers import oracle_feature_keys, rand_formula
@@ -65,46 +65,33 @@ class TestExtractFeatures:
 
 class TestFeatureDictionary:
     def test_append_only_indices(self):
-        d = FeatureDictionary()
-        i = d.add("s:p/1")
-        j = d.add("t:a")
-        assert (i, j) == (0, 1)
-        assert d.add("s:p/1") == 0  # re-adding never moves a key
-        assert len(d) == 2
-        assert d.lookup("t:a") == 1
-        assert d.lookup("unknown") is None
-        assert d.key_at(0) == "s:p/1"
+        d = {}
+        vectorize(_formula("p(a)"), d)
+        # a new key's index is the dictionary size; keys go in sorted order
+        assert list(d.items()) == [("s:a/0", 0), ("s:p/1", 1), ("t:a", 2)]
+        vectorize(_formula("q(a)"), d)  # re-adding never moves a key
+        assert list(d.items()) == [("s:a/0", 0), ("s:p/1", 1), ("t:a", 2), ("s:q/1", 3)]
 
 
 class TestVectorize:
-    def test_empty_feature_set_gives_empty_vector(self):
-        d = FeatureDictionary()
-        # A 0-ary atom carries one symbol key; drop it with extend off.
-        v = vectorize(_formula("p"), d, extend=False)
-        assert v.indices == ()
-
     def test_known_keys_give_exactly_those_indices(self):
-        d = FeatureDictionary()
-        v1 = vectorize(_formula("p(a)"), d, extend=True)
-        v2 = vectorize(_formula("p(a)"), d, extend=False)
+        d = {}
+        v1 = vectorize(_formula("p(a)"), d)
+        size = len(d)
+        v2 = vectorize(_formula("p(a)"), d)
         assert v1 == v2
+        assert len(d) == size  # dictionary unchanged
         assert len(v1) == 3
 
-    def test_novel_key_dropped_without_extend(self):
-        d = FeatureDictionary()
-        vectorize(_formula("p(a)"), d, extend=True)
-        size = len(d)
-        v = vectorize(_formula("p(b)"), d, extend=False)
-        assert len(d) == size  # dictionary unchanged
-        assert v.indices == (d.lookup("s:p/1"),)
-
     def test_dictionary_stability_under_extension(self):
-        d = FeatureDictionary()
-        early = vectorize(_formula("p(a)"), d, extend=True)
+        d = {}
+        early = vectorize(_formula("p(a)"), d)
         for text in ["q(b)", "r(c, d)", "![X]: p(f(X), a)"]:
-            vectorize(_formula(text), d, extend=True)
-        again = vectorize(_formula("p(a)"), d, extend=False)
+            vectorize(_formula(text), d)
+        size = len(d)
+        again = vectorize(_formula("p(a)"), d)
         assert early == again
+        assert len(d) == size
 
 
 class TestDot:

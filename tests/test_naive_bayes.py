@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from premsel.corpus import TrainingRow
-from premsel.errors import TrainingError
+from premsel.errors import ConfigError, TrainingError
 from premsel.features import FeatureVector
 from premsel.kernel import KernelSpec, RidgeFactor
 from premsel.naive_bayes import NbCounts, nb_score, nb_train
@@ -51,9 +51,9 @@ class TestTraining:
 
     def test_smoothing_must_be_finite_and_positive(self):
         for smoothing in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 nb_train(_two_row_view(), smoothing)
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 NbCounts(smoothing)
 
     def test_zero_rows_is_uniform(self):
