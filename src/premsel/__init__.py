@@ -9,7 +9,7 @@ oracle.
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus, CorpusEntry, TrainingRow, TrainingView, load_corpus
+from .corpus import Corpus, TrainingRow, TrainingView, load_corpus
 from .errors import ConfigError, CorpusError, FofSyntaxError, PremselError, TrainingError
 from .evaluate import (
     KernelRidgeRanker,
@@ -46,7 +46,7 @@ from .naive_bayes import NbModel, nb_score, nb_train
 
 __all__ = [
     "__version__",
-    "Corpus", "CorpusEntry", "TrainingRow", "TrainingView", "load_corpus",
+    "Corpus", "TrainingRow", "TrainingView", "load_corpus",
     "ConfigError", "CorpusError", "FofSyntaxError", "PremselError", "TrainingError",
     "KernelRidgeRanker", "NaiveBayesRanker", "RankedAdvice", "RecallReport",
     "emit_problems", "rank_advice", "recall_at", "report_csv", "run_incremental",

@@ -48,6 +48,7 @@ from .evaluate import (
     EMIT_MODES,
     KernelRidgeRanker,
     NaiveBayesRanker,
+    advise_at,
     chronological_fallback,  # noqa: F401  unused here; perfbench/trace_run.py wraps it
     emit_problems,
     report_csv,
@@ -121,13 +122,15 @@ def _check_out_dir(out_dir) -> None:
         raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
 
 
-def _load(formula_paths, dep_path):
+def _load(formula_paths, dep_path, train_rows):
+    """The corpus, with the training rows that ``--train-rows`` names."""
     _check_paths(list(formula_paths) + [dep_path])
-    return load_corpus(formula_paths, dep_path)
+    return load_corpus(formula_paths, dep_path,
+                       ("theorem",) if train_rows == "theorems" else ROLES)
 
 
-def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing, train_rows):
-    """The command's ranker and the roles that contribute its training rows.
+def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing):
+    """The command's ranker.
 
     Every command that ranks calls this before numpy first runs, so it
     is where OpenBLAS is held to one thread (see the module docstring).
@@ -137,10 +140,9 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing, tr
     grids = {"lambda_grid": _parse_floats(lambda_grid, "--lambda-grid"),
              "sigma_grid": _parse_floats(sigma_grid, "--sigma-grid")}
     grid = GridSearchConfig(**{k: v for k, v in grids.items() if v is not None})
-    row_roles = ("theorem",) if train_rows == "theorems" else ROLES
     if ranker == "nb":
-        return NaiveBayesRanker(smoothing=smoothing), row_roles
-    return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid), row_roles
+        return NaiveBayesRanker(smoothing=smoothing)
+    return KernelRidgeRanker(kernel_kind=kernel, grid=grid, regrid=regrid)
 
 
 # parsed option name -> run_metadata.json option name
@@ -162,16 +164,16 @@ def _write_metadata(out_dir, command: str, params: dict) -> None:
         handle.write("\n")
 
 
-def rank(formula_paths, dep_path, conjecture, top_n, out_dir, **ranker_flags):
+def rank(formula_paths, dep_path, train_rows, conjecture, top_n, out_dir, **ranker_flags):
     """Rank the premises available to one conjecture."""
     if top_n < 1:
         raise ConfigError("-n must be positive")
     _check_out_dir(out_dir)
-    engine, row_roles = _build_ranker(**ranker_flags)
-    corpus = _load(formula_paths, dep_path)
+    engine = _build_ranker(**ranker_flags)
+    corpus = _load(formula_paths, dep_path, train_rows)
     if conjecture not in corpus:
         raise ConfigError(f"unknown conjecture id {conjecture!r}")
-    advice = engine.advise(corpus.training_view(corpus.position_of(conjecture), row_roles))
+    advice = advise_at(corpus, engine, corpus.position_of(conjecture))
     if advice.fallback:
         print("note: pool not trainable, advice is chronological", file=sys.stderr)
     n = min(top_n, len(advice.premise_ids))
@@ -192,18 +194,18 @@ def write_loss_table(table, path) -> None:
     write_csv(path, ["lambda", "sigma", "validation_loss"], table)
 
 
-def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs, out_dir,
-             **ranker_flags):
+def eval_cmd(formula_paths, dep_path, train_rows, conjectures, conjecture_roles, n_set, jobs,
+             out_dir, **ranker_flags):
     """Incremental evaluation: recall@n per conjecture plus averages."""
     n_values = _parse_ints(n_set, "--n-set")
     ids, roles = _parse_selection(conjectures, conjecture_roles)
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     _check_out_dir(out_dir)
-    engine, row_roles = _build_ranker(**ranker_flags)
-    corpus = _load(formula_paths, dep_path)
+    engine = _build_ranker(**ranker_flags)
+    corpus = _load(formula_paths, dep_path, train_rows)
     report = run_incremental(corpus, engine, n_values=n_values, conjecture_ids=ids,
-                             conjecture_roles=roles, row_roles=row_roles)
+                             conjecture_roles=roles)
     paths = report_csv(report, out_dir)
     loss_table = Path(out_dir) / "grid_loss.csv"
     if getattr(engine, "search", None) is not None:
@@ -216,21 +218,19 @@ def eval_cmd(formula_paths, dep_path, conjectures, conjecture_roles, n_set, jobs
         print(f"wrote {paths[name]}")
 
 
-def emit(formula_paths, dep_path, mode, top_n, conjectures, conjecture_roles, out_dir,
-         **ranker_flags):
+def emit(formula_paths, dep_path, train_rows, mode, top_n, conjectures, conjecture_roles,
+         out_dir, **ranker_flags):
     """Emit one problem file per conjecture."""
     ids, roles = _parse_selection(conjectures, conjecture_roles)
     _check_out_dir(out_dir)
-    engine, row_roles = None, ()
+    engine = None
     if mode == "advised":
         if top_n is None or top_n < 1:
             raise ConfigError("advised mode needs a positive -n")
-        engine, row_roles = _build_ranker(**ranker_flags)
-    corpus = _load(formula_paths, dep_path)
-    written = emit_problems(
-        corpus, mode, out_dir, conjecture_ids=ids, conjecture_roles=roles,
-        n=top_n, ranker=engine, row_roles=row_roles,
-    )
+        engine = _build_ranker(**ranker_flags)
+    corpus = _load(formula_paths, dep_path, train_rows)
+    written = emit_problems(corpus, mode, out_dir, conjecture_ids=ids, conjecture_roles=roles,
+                            n=top_n, ranker=engine)
     print(f"wrote {len(written)} problem files to {out_dir}")
 
 

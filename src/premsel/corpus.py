@@ -7,9 +7,9 @@ keeps one :class:`TrainingRow` per item, holding the item's features
 and the positions of the strictly earlier items its recorded proof
 used.  A training view at position ``i`` selects from those shared
 rows: it exposes exactly the first ``i`` items as candidate premises,
-the rows of those items, and the conjecture at ``i`` with its features
-restricted to what was known before it.  :class:`RowState` is the base
-of the rankers' running state over a growing row sequence.
+the rows of those whose role trains, and the conjecture at ``i`` with
+its features restricted to what was known before it.  :class:`RowState`
+is the base of the rankers' running state over a growing row sequence.
 """
 
 from __future__ import annotations
@@ -17,24 +17,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import CorpusError, FofSyntaxError, TrainingError
+from .errors import ConfigError, CorpusError, FofSyntaxError, TrainingError
 from .features import FeatureVector, vectorize
-from .fol import NamedItem, parse_items
+from .fol import ROLES, NamedItem, parse_items
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    item: NamedItem
-    position: int
-    dependencies: frozenset[str]
-
-    @property
-    def name(self) -> str:
-        return self.item.name
-
-    @property
-    def role(self) -> str:
-        return self.item.role
+def check_roles(roles, what: str) -> tuple[str, ...]:
+    """``roles`` as a tuple; a :class:`ConfigError` unless it names one or
+    more of :data:`~premsel.fol.ROLES`."""
+    if not roles or not set(roles) <= set(ROLES):
+        raise ConfigError(f"{what} roles must be one or more of {', '.join(ROLES)}, "
+                          f"got {', '.join(roles) or 'none'}")
+    return tuple(roles)
 
 
 @dataclass(frozen=True)
@@ -98,19 +92,22 @@ class RowState:
 class Corpus:
     """Immutable after load; views select from the rows built at load.
 
-    ``rows[c]`` is the training row of the item at position ``c``;
-    ``rows[c].used`` is the position form of its proof dependencies.
+    ``items[c]`` is the item at position ``c``, ``names[c]`` its name and
+    ``rows[c]`` its training row; ``rows[c].used`` holds its proof
+    dependencies as positions, the only place they are kept.  The rows
+    of the items whose role is in ``row_roles`` train the rankers; every
+    item is a premise.
     """
 
-    def __init__(self, entries: list[CorpusEntry]):
-        self.entries: tuple[CorpusEntry, ...] = tuple(entries)
-        self._position: dict[str, int] = {e.name: e.position for e in self.entries}
-        self._names = tuple(e.name for e in self.entries)
-        self._trainable: dict[frozenset[str], tuple[tuple[TrainingRow, ...], list[int]]] = {}
-        self.ensure_featurized()
+    def __init__(self, items, dependencies, row_roles=("theorem",)):
+        self.row_roles = check_roles(row_roles, "training")
+        self.items: tuple[NamedItem, ...] = tuple(items)
+        self.names = tuple(item.name for item in self.items)
+        self._position: dict[str, int] = {name: i for i, name in enumerate(self.names)}
+        self.ensure_featurized(dependencies)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.items)
 
     def __contains__(self, identifier: str) -> bool:
         return identifier in self._position
@@ -121,56 +118,53 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown item identifier {identifier!r}") from None
 
-    def ensure_featurized(self) -> None:
-        """Featurize every entry in one chronological pass; run once, by
-        the constructor.
+    def ensure_featurized(self, dependencies) -> None:
+        """Featurize every item in one chronological pass; run once, by
+        the constructor, with ``dependencies`` mapping an item's name to
+        the names its proof used.
 
         Builds ``dictionary``, a ``dict`` from feature key to index in
-        first-seen order, one training row per entry in ``rows``, and per
-        entry the dictionary size before its own features were appended,
-        i.e. the number of feature indices that existed strictly before it.
+        first-seen order, one training row per item in ``rows``, the
+        rows of the items whose role is in ``row_roles``, and per item
+        the dictionary size before its own features were appended, i.e.
+        the number of feature indices that existed strictly before it.
         """
         dictionary: dict[str, int] = {}
-        rows, known = [], []
-        for entry in self.entries:
+        rows, trained, known = [], [], []
+        for position, item in enumerate(self.items):
             known.append(len(dictionary))
-            features = vectorize(entry.item.formula, dictionary)
-            used = frozenset(self._position[d] for d in entry.dependencies)
-            rows.append(TrainingRow(entry.position, features, used))
+            features = vectorize(item.formula, dictionary)
+            used = frozenset(self._position[d] for d in dependencies.get(item.name, ()))
+            rows.append(TrainingRow(position, features, used))
+            if item.role in self.row_roles:
+                trained.append(rows[-1])
         self.dictionary = dictionary
         self.rows: tuple[TrainingRow, ...] = tuple(rows)
+        self._trained: tuple[TrainingRow, ...] = tuple(trained)
         self._known = tuple(known)
 
-    def training_view(self, position: int, row_roles=("theorem",)) -> TrainingView:
+    def training_view(self, position: int) -> TrainingView:
         """View for ranking the item at ``position``.
 
-        Candidate premises are exactly the first ``position`` entries.
+        Candidate premises are exactly the first ``position`` items.
         Training rows are the shared rows of those of them whose role is
-        in ``row_roles``; the remaining entries act as premises only.
+        in ``row_roles``; the remaining items act as premises only.
         The conjecture's features are restricted to indices known before
         it, so nothing from position ``>= position`` can influence a
         ranking.
         """
-        if not 0 <= position < len(self.entries):
+        if not 0 <= position < len(self.items):
             raise IndexError(f"position {position} out of range")
-        rows, positions = self._trainable_rows(frozenset(row_roles))
         known = self._known[position]
+        trained = bisect_left(self._trained, position, key=lambda row: row.position)
         return TrainingView(
-            premise_ids=self._names[:position],
-            rows=rows[:bisect_left(positions, position)],
-            conjecture_id=self._names[position],
+            premise_ids=self.names[:position],
+            rows=self._trained[:trained],
+            conjecture_id=self.names[position],
             conjecture_features=FeatureVector(
                 i for i in self.rows[position].features.indices if i < known
             ),
         )
-
-    def _trainable_rows(self, roles: frozenset[str]):
-        """The rows of every entry whose role is in ``roles``, and their
-        positions; built once per role set, so a view is one slice."""
-        if roles not in self._trainable:
-            rows = tuple(self.rows[e.position] for e in self.entries if e.role in roles)
-            self._trainable[roles] = rows, [row.position for row in rows]
-        return self._trainable[roles]
 
 
 def parse_dependency_lines(text: str, position: dict[str, int]) -> dict[str, frozenset[str]]:
@@ -206,9 +200,10 @@ def parse_dependency_lines(text: str, position: dict[str, int]) -> dict[str, fro
     return deps
 
 
-def load_corpus(formula_paths, dependency_path) -> Corpus:
+def load_corpus(formula_paths, dependency_path, row_roles=("theorem",)) -> Corpus:
     """Load formula files (chronological order = file order) plus a
-    dependency file; see GRAMMAR.md for both formats."""
+    dependency file, see GRAMMAR.md for both formats, into a corpus whose
+    items with a role in ``row_roles`` contribute training rows."""
     items: list[NamedItem] = []
     seen: set[str] = set()
     for path in formula_paths:
@@ -228,8 +223,4 @@ def load_corpus(formula_paths, dependency_path) -> Corpus:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{dependency_path}: {exc}") from exc
-    deps = parse_dependency_lines(text, position)
-    entries = [
-        CorpusEntry(item, i, deps.get(item.name, frozenset())) for i, item in enumerate(items)
-    ]
-    return Corpus(entries)
+    return Corpus(items, parse_dependency_lines(text, position), row_roles)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._lazy import lazy_module
-from .corpus import Corpus, TrainingView
+from .corpus import Corpus, TrainingView, check_roles
 from .errors import ConfigError, PremselError, TrainingError
-from .fol import ROLES, print_item
+from .fol import print_item
 from .kernel import (
     GridSearchConfig,
     GridSearchResult,
@@ -175,8 +175,7 @@ class KernelRidgeRanker:
 @dataclass
 class ConjectureOutcome:
     conjecture_id: str
-    position: int
-    pool_size: int
+    position: int  # also the pool size: the pool is exactly the earlier items
     used_count: int
     fallback: bool
     # n -> recall value; None when the dependency set is empty
@@ -205,19 +204,28 @@ class RecallReport:
 def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("theorem",)):
     """Positions of the items to evaluate, in chronological order: those
     named in ``conjecture_ids``, or when it is None those whose role is
-    in ``conjecture_roles`` (one or more of :data:`ROLES` either way)."""
-    if not conjecture_roles or not set(conjecture_roles) <= set(ROLES):
-        raise ConfigError(f"conjecture roles must be one or more of {', '.join(ROLES)}, "
-                          f"got {', '.join(conjecture_roles) or 'none'}")
+    in ``conjecture_roles`` (checked by :func:`check_roles` either way)."""
+    roles = check_roles(conjecture_roles, "conjecture")
     if conjecture_ids is not None:
         for cid in conjecture_ids:
             if cid not in corpus:
                 raise ConfigError(f"unknown conjecture id {cid!r}")
         positions = sorted({corpus.position_of(cid) for cid in conjecture_ids})
     else:
-        roles = set(conjecture_roles)
-        positions = [e.position for e in corpus.entries if e.role in roles]
+        positions = [p for p, item in enumerate(corpus.items) if item.role in roles]
     return positions
+
+
+def advise_at(corpus: Corpus, ranker, position: int) -> RankedAdvice:
+    """``ranker.advise`` on the training view at ``position``, the step of
+    every command that ranks; a ``MemoryError`` is re-raised with a
+    message that names the step."""
+    view = corpus.training_view(position)
+    try:
+        return ranker.advise(view)
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory at {view.conjecture_id} (position {position}, "
+                          f"{len(view.rows)} training rows)") from exc
 
 
 def _averages(outcomes, n_values) -> dict[int, float]:
@@ -239,18 +247,17 @@ def run_incremental(
     n_values,
     conjecture_ids=None,
     conjecture_roles=("theorem",),
-    row_roles=("theorem",),
 ) -> RecallReport:
     """Train-on-the-past / rank / score every selected conjecture, in
     position order.
 
-    Each step calls ``ranker.advise`` on the conjecture's training view,
-    everything strictly earlier; the view lives only for its own step.
-    The ranker carries its state from one step to the next, but advice
-    is a function of the view alone, so it does not depend on which
-    other positions are selected.  A step's :class:`PremselError` is
-    recorded on its outcome and the run continues; a ``MemoryError``
-    ends the run, re-raised with a message that names the step.
+    Each step is :func:`advise_at`: ``ranker.advise`` on the
+    conjecture's training view, everything strictly earlier; the view
+    lives only for its own step.  The ranker carries its state from one
+    step to the next, but advice is a function of the view alone, so it
+    does not depend on which other positions are selected.  A step's
+    :class:`PremselError` is recorded on its outcome and the run
+    continues; a ``MemoryError`` ends the run.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
     if not n_values or n_values[0] < 1:
@@ -258,26 +265,20 @@ def run_incremental(
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     outcomes = []
     for position in positions:
-        entry = corpus.entries[position]
-        used = entry.dependencies
+        used = frozenset(corpus.names[p] for p in corpus.rows[position].used)
         outcome = ConjectureOutcome(
-            conjecture_id=entry.name,
+            conjecture_id=corpus.names[position],
             position=position,
-            pool_size=position,  # the pool is exactly the earlier items
             used_count=len(used),
             fallback=False,
             recalls=None,
         )
         outcomes.append(outcome)
-        view = corpus.training_view(position, row_roles)
         try:
-            advice = ranker.advise(view)
+            advice = advise_at(corpus, ranker, position)
         except PremselError as exc:
             outcome.error = str(exc)
             continue
-        except MemoryError as exc:
-            raise MemoryError(f"out of memory at {entry.name} (position {position}, "
-                              f"{len(view.rows)} training rows)") from exc
         outcome.fallback = advice.fallback
         if used:
             outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}
@@ -330,7 +331,7 @@ def report_csv(report: RecallReport, out_dir) -> dict[str, Path]:
     write_csv(paths["conjectures"],
               ["conjecture_id", "position", "pool_size", "used_count", "fallback", "error"]
               + recall_cols,
-              ([o.conjecture_id, o.position, o.pool_size, o.used_count,
+              ([o.conjecture_id, o.position, o.position, o.used_count,
                 "true" if o.fallback else "false", o.error]
                + [None if o.recalls is None else o.recalls[n] for n in report.n_values]
                for o in report.outcomes))
@@ -357,17 +358,17 @@ def _write_problem(corpus: Corpus, position: int, axiom_ids, out_dir: Path,
                    axiom_texts: dict[int, str]) -> Path:
     """Write one problem file; ``axiom_texts`` caches each item's printed
     axiom-role text by position for the whole run."""
-    entry = corpus.entries[position]
+    conjecture = corpus.items[position]
     lines = []
     for axiom_id in axiom_ids:
         at = corpus.position_of(axiom_id)
         text = axiom_texts.get(at)
         if text is None:
-            item = dataclasses.replace(corpus.entries[at].item, role="axiom")
+            item = dataclasses.replace(corpus.items[at], role="axiom")
             text = axiom_texts[at] = print_item(item)
         lines.append(text)
-    lines.append(print_item(dataclasses.replace(entry.item, role="conjecture")))
-    path = out_dir / f"{_safe_filename(entry.name)}.p"
+    lines.append(print_item(dataclasses.replace(conjecture, role="conjecture")))
+    path = out_dir / f"{_safe_filename(conjecture.name)}.p"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -381,7 +382,6 @@ def emit_problems(
     conjecture_roles=("theorem",),
     n: int | None = None,
     ranker=None,
-    row_roles=("theorem",),
 ) -> list[Path]:
     """One problem file per conjecture, named ``<id>.p``.
 
@@ -405,7 +405,7 @@ def emit_problems(
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     owners: dict[str, str] = {}  # file name -> id, checked before anything is written
     for position in positions:
-        name = corpus.entries[position].name
+        name = corpus.names[position]
         other = owners.setdefault(_safe_filename(name), name)
         if other != name:
             raise ConfigError(f"conjectures {other!r} and {name!r} both map to "
@@ -421,10 +421,10 @@ def emit_problems(
     axiom_texts: dict[int, str] = {}
     for position in positions:
         if mode == "bushy":
-            axiom_ids = sorted(corpus.entries[position].dependencies, key=corpus.position_of)
+            axiom_ids = [corpus.names[p] for p in sorted(corpus.rows[position].used)]
         elif mode == "chainy":
-            axiom_ids = [e.name for e in corpus.entries[:position]]
+            axiom_ids = corpus.names[:position]
         else:
-            axiom_ids = ranker.advise(corpus.training_view(position, row_roles)).premise_ids[:n]
+            axiom_ids = advise_at(corpus, ranker, position).premise_ids[:n]
         written.append(_write_problem(corpus, position, axiom_ids, out, axiom_texts))
     return written

@@ -255,25 +255,37 @@ def reference_problem_text(corpus, position: int, axiom_ids) -> str:
     """A problem file printed item by item: every axiom afresh for every
     file, the loop that emission ran before it cached printed text."""
     lines = [fol.print_item(dataclasses.replace(
-        corpus.entries[corpus.position_of(axiom_id)].item, role="axiom"))
+        corpus.items[corpus.position_of(axiom_id)], role="axiom"))
         for axiom_id in axiom_ids]
-    conjecture = corpus.entries[position].item
+    conjecture = corpus.items[position]
     lines.append(fol.print_item(dataclasses.replace(conjecture, role="conjecture")))
     return "\n".join(lines) + "\n"
 
 
-def walk_advice(corpus, ranker, positions, row_roles=("theorem",)):
+def walk_advice(corpus, ranker, positions):
     """``ranker``'s advice at each of ``positions``, in order, each from
     the training view of everything before it: the walk that ``eval``,
     ``rank`` and advised ``emit`` take."""
-    return [ranker.advise(corpus.training_view(position, row_roles)) for position in positions]
+    return [ranker.advise(corpus.training_view(position)) for position in positions]
 
 
 def reference_view_rows(corpus, position: int, row_roles) -> tuple[TrainingRow, ...]:
-    """A view's training rows by filtering every earlier entry by role,
+    """A view's training rows by filtering every earlier item by role,
     the selection that ``Corpus.training_view`` made before it sliced."""
     roles = set(row_roles)
-    return tuple(corpus.rows[e.position] for e in corpus.entries[:position] if e.role in roles)
+    return tuple(corpus.rows[p] for p in range(position) if corpus.items[p].role in roles)
+
+
+def dependencies_by_name(formulas_text: str, deps_text: str) -> dict[str, set[str]]:
+    """Every item's recorded dependency names, read from the corpus text
+    without a :class:`Corpus`: the reference for ``corpus.rows[p].used``."""
+    deps = {item.name: set() for item in fol.parse_items(formulas_text)}
+    for line in deps_text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            target, _, rest = line.partition(":")
+            deps[target.strip()] = set(rest.split())
+    return deps
 
 
 def write_corpus(tmp_path, formulas_text: str, deps_text: str):

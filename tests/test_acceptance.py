@@ -377,7 +377,7 @@ def test_criterion_6_planted_corpus_ranking_quality(tmp_path):
         nb, mor = _planted_run(tmp_path, 0.10, "noisy")
         elapsed = time.perf_counter() - started
         random_expectation = sum(
-            min(10, o.pool_size) / o.pool_size
+            min(10, o.position) / o.position
             for o in nb.outcomes
             if o.recalls is not None
         ) / nb.evaluated_count

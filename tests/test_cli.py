@@ -12,7 +12,7 @@ from premsel import cli
 from premsel.corpus import load_corpus
 from premsel.errors import TrainingError
 from premsel.evaluate import KernelRidgeRanker, NaiveBayesRanker, select_conjectures
-from premsel.fol import parse_file, print_item
+from premsel.fol import ROLES, parse_file, print_item
 from premsel.kernel import RidgeFactor
 
 from helpers import planted_corpus_text, walk_advice, write_corpus
@@ -273,16 +273,24 @@ class TestEval:
             append(self, i, row)
 
         monkeypatch.setattr(RidgeFactor, "_append", failing)
-        out = tmp_path / "report"
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["eval", "-f", str(f), "--deps", str(d), "--ranker", "mor",
-                      "--out-dir", str(out)])
-        assert exit_info.value.code == 4
-        assert 12 in appended
-        # the line names the step: row 12 failed, so the view held 13 rows
-        assert (capsys.readouterr().err
-                == "error: out of memory at th025 (position 25, 13 training rows)\n")
-        assert not (out / "conjectures.csv").exists()
+        # eval, then rank and advised emit, which take the same step
+        for command in (["eval"], ["rank", "--conjecture", "th025"],
+                        ["emit", "--mode", "advised", "-n", "2"]):
+            appended.clear()
+            out = tmp_path / command[0]
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*command, "-f", str(f), "--deps", str(d), "--ranker", "mor",
+                          "--out-dir", str(out)])
+            assert exit_info.value.code == 4, command
+            assert 12 in appended
+            # one line, no traceback, naming the step: row 12 failed, so the view held 13 rows
+            captured = capsys.readouterr()
+            assert (captured.err
+                    == "error: out of memory at th025 (position 25, 13 training rows)\n"), command
+            assert captured.out == ""
+            assert not (out / "conjectures.csv").exists()
+            assert not (out / "advice.csv").exists()
+            assert not (out / "th025.p").exists()
 
     def test_metadata_echoes_configuration(self, tmp_path):
         out = tmp_path / "report"
@@ -353,21 +361,27 @@ class TestEmit:
         assert result.returncode == 2
 
     def test_advised_rank_and_eval_agree(self, tmp_path):
-        out = tmp_path / "advised"
-        result = run_cli("emit", *toy_args(), "--mode", "advised", "-n", "2",
-                         "--out-dir", out)
-        assert result.returncode == 0, result.stderr
-        corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt")
-        walked = walk_advice(corpus, NaiveBayesRanker(), select_conjectures(corpus))
-        assert len(walked) == 4
-        for advice in walked:
-            top = list(advice.premise_ids[:2])
-            axioms = [item.name for item in parse_file(out / f"{advice.conjecture_id}.p")][:-1]
-            ranked = run_cli("rank", *toy_args(), "--conjecture", advice.conjecture_id,
-                             "-n", "2")
-            assert ranked.returncode == 0, ranked.stderr
-            assert axioms == top
-            assert [line.split("\t")[0] for line in ranked.stdout.splitlines()] == top
+        walks = {}
+        for train_rows, row_roles in (("theorems", ("theorem",)), ("all", ROLES)):
+            out = tmp_path / train_rows
+            option = ["--train-rows", train_rows]
+            result = run_cli("emit", *toy_args(), *option, "--mode", "advised", "-n", "2",
+                             "--out-dir", out)
+            assert result.returncode == 0, result.stderr
+            corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt", row_roles)
+            walked = walks[train_rows] = walk_advice(corpus, NaiveBayesRanker(),
+                                                     select_conjectures(corpus))
+            assert len(walked) == 4
+            for advice in walked:
+                top = list(advice.premise_ids[:2])
+                axioms = [item.name for item in parse_file(out / f"{advice.conjecture_id}.p")]
+                ranked = run_cli("rank", *toy_args(), *option, "--conjecture",
+                                 advice.conjecture_id, "-n", "2")
+                assert ranked.returncode == 0, ranked.stderr
+                assert axioms[:-1] == top
+                assert [line.split("\t")[0] for line in ranked.stdout.splitlines()] == top
+        # the role set of the load reaches every command's advice
+        assert walks["theorems"] != walks["all"]
 
     @pytest.mark.parametrize("mode", ["bushy", "chainy", "advised"])
     def test_file_name_clash_is_a_config_error(self, tmp_path, mode):
@@ -406,7 +420,7 @@ class TestEmit:
             def advise(self, view):
                 raise TrainingError("boom")
 
-        monkeypatch.setattr(cli, "_build_ranker", lambda **flags: (Boom(), ("theorem",)))
+        monkeypatch.setattr(cli, "_build_ranker", lambda **flags: Boom())
         argv = [command[0], *map(str, toy_args()),
                 *(arg.format(out=tmp_path / "a") for arg in command[1:])]
         with pytest.raises(SystemExit) as exit_info:

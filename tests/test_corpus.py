@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from premsel.corpus import load_corpus, parse_dependency_lines
-from premsel.errors import CorpusError
+from premsel.errors import ConfigError, CorpusError
 from premsel.features import extract_features, vectorize
 from premsel.fol import ROLES, parse_items
 
 from helpers import (
+    dependencies_by_name,
     planted_corpus_text,
     reference_view_rows,
     rich_corpus_text,
@@ -26,9 +27,9 @@ fof(t3, theorem, p(a) & q(b)).
 """
 
 
-def _load(tmp_path, formulas=THREE, deps="t3: t1\n"):
+def _load(tmp_path, formulas=THREE, deps="t3: t1\n", row_roles=("theorem",)):
     f, d = write_corpus(tmp_path, formulas, deps)
-    return load_corpus([f], d)
+    return load_corpus([f], d, row_roles)
 
 
 class TestLoad:
@@ -41,9 +42,10 @@ class TestLoad:
 
     def test_dependencies_match_matrix_rows_exactly(self, tmp_path):
         corpus = _load(tmp_path, deps="t3: t1 t2\n")
-        for entry in corpus.entries:
-            derived = {corpus.entries[p].name for p in corpus.rows[entry.position].used}
-            assert derived == set(entry.dependencies)
+        recorded = dependencies_by_name(THREE, "t3: t1 t2\n")
+        assert list(recorded) == list(corpus.names)
+        for c, name in enumerate(corpus.names):
+            assert {corpus.names[p] for p in corpus.rows[c].used} == recorded[name]
 
     def test_empty_dependency_file(self, tmp_path):
         corpus = _load(tmp_path, deps="")
@@ -87,6 +89,13 @@ class TestLoad:
         with pytest.raises(CorpusError, match="precede"):
             load_corpus([f2, f1], d)
 
+    @pytest.mark.parametrize("row_roles", [(), ("theorm",), ("theorem", "lemma")],
+                             ids=["empty", "misspelled", "one-unknown"])
+    def test_unknown_or_empty_training_roles_are_a_config_error(self, tmp_path, row_roles):
+        with pytest.raises(ConfigError, match="training roles must be one or more of "
+                                              "axiom, definition, theorem, conjecture"):
+            _load(tmp_path, row_roles=row_roles)
+
     def test_comment_and_blank_lines_ignored(self):
         deps = parse_dependency_lines("# c\n\nt3: t1\n", {"t1": 0, "t3": 2})
         assert deps == {"t3": frozenset({"t1"})}
@@ -118,7 +127,9 @@ class TestTrainingView:
         corpus = _load(tmp_path, formulas=text, deps="t3: t1\nt4: t2\n")
         view = corpus.training_view(3)
         assert [r.position for r in view.rows] == [2]
-        view_all = corpus.training_view(3, row_roles=("axiom", "definition", "theorem"))
+        corpus_all = _load(tmp_path, formulas=text, deps="t3: t1\nt4: t2\n",
+                           row_roles=("axiom", "definition", "theorem"))
+        view_all = corpus_all.training_view(3)
         assert [r.position for r in view_all.rows] == [0, 1, 2]
 
     def test_row_labels_never_reference_the_future(self, tmp_path):
@@ -147,7 +158,7 @@ class TestTrainingView:
                              ids=["theorems", "all"])
     def test_views_equal_an_independent_reference(self, tmp_path, row_roles):
         formulas, deps = planted_corpus_text(n_items=40, n_topics=3, seed=5)
-        corpus = _load(tmp_path, formulas=formulas, deps=deps)
+        corpus = _load(tmp_path, formulas=formulas, deps=deps, row_roles=row_roles)
         items = parse_items(formulas)
         assert {item.role for item in items} == {"axiom", "theorem"}
         position = {item.name: i for i, item in enumerate(items)}
@@ -163,7 +174,7 @@ class TestTrainingView:
             visible = tuple(sorted(dictionary[k] for k in extract_features(item.formula)
                                    if k in dictionary))
             features = vectorize(item.formula, dictionary).indices
-            view = corpus.training_view(i, row_roles)
+            view = corpus.training_view(i)
             assert view.premise_ids == tuple(it.name for it in items[:i])
             assert [(r.position, r.features.indices, set(r.used)) for r in view.rows] == rows
             assert view.conjecture_id == item.name
@@ -188,21 +199,24 @@ class TestTrainingView:
         # the benchmark corpora's generator settings, at a smaller size
         bench = {"n_topics": 20, "feats_per_topic": 12, "feats_per_item": 4, "max_deps": 6}
         if source == "toy":
-            corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt")
+            corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt", row_roles)
         else:
             make = planted_corpus_text if source == "planted" else rich_corpus_text
-            corpus = _load(tmp_path, *make(n_items=120, seed=3, **bench))
-        assert len({e.role for e in corpus.entries}) > 1
+            corpus = _load(tmp_path, *make(n_items=120, seed=3, **bench), row_roles=row_roles)
+        assert len({item.role for item in corpus.items}) > 1
         for i in range(len(corpus)):
-            rows = corpus.training_view(i, row_roles).rows
+            rows = corpus.training_view(i).rows
             reference = reference_view_rows(corpus, i, row_roles)
             assert len(rows) == len(reference)
             assert all(row is ref for row, ref in zip(rows, reference))
 
     def test_entries_are_frozen(self, tmp_path):
-        entry = _load(tmp_path).entries[0]
+        corpus = _load(tmp_path)
+        assert isinstance(corpus.items, tuple) and isinstance(corpus.names, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            entry.position = 5
+            corpus.items[0].name = "t9"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.rows[0].position = 5
 
     def test_unknown_identifier_lookup(self, tmp_path):
         corpus = _load(tmp_path)

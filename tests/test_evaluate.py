@@ -28,6 +28,7 @@ from premsel.kernel import GridSearchConfig, RidgeFactor, grid_search, ridge_sco
 from premsel.naive_bayes import nb_score, nb_train
 
 from helpers import (
+    dependencies_by_name,
     nb_oracle_score,
     oracle_feature_keys,
     planted_corpus_text,
@@ -158,13 +159,13 @@ class TestNaiveBayesRanker:
     from scratch on the same view, float for float."""
 
     @staticmethod
-    def _planted(tmp_path, seed):
+    def _planted(tmp_path, seed, row_roles=("theorem",)):
         formulas, deps = planted_corpus_text(n_items=40, n_topics=3, feats_per_topic=5,
                                              seed=seed)
         directory = tmp_path / f"seed{seed}"
-        directory.mkdir()
+        directory.mkdir(exist_ok=True)
         f, d = write_corpus(directory, formulas, deps)
-        return load_corpus([f], d)
+        return load_corpus([f], d, row_roles)
 
     @staticmethod
     def _check(ranker, view):
@@ -179,19 +180,20 @@ class TestNaiveBayesRanker:
 
     @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
     def test_every_step_equals_the_reference(self, tmp_path, row_roles):
-        corpus = self._planted(tmp_path, seed=1)
+        corpus = self._planted(tmp_path, seed=1, row_roles=row_roles)
         ranker = NaiveBayesRanker()
         for position in range(len(corpus)):
-            self._check(ranker, corpus.training_view(position, row_roles))
+            self._check(ranker, corpus.training_view(position))
 
     def test_views_that_do_not_extend_the_counted_rows_restart(self, tmp_path):
         first, second = self._planted(tmp_path, seed=1), self._planted(tmp_path, seed=2)
+        first_all = self._planted(tmp_path, seed=1, row_roles=ROLES)
         ranker = NaiveBayesRanker()
-        steps = [(first, p, ("theorem",)) for p in (30, 10, 35, 34, 1, 0, 20)]
-        steps += [(first, p, ROLES) for p in (20, 25)]
-        steps += [(second, p, ("theorem",)) for p in (15, 39)]
-        for corpus, position, row_roles in steps:
-            self._check(ranker, corpus.training_view(position, row_roles))
+        steps = [(first, p) for p in (30, 10, 35, 34, 1, 0, 20)]
+        steps += [(first_all, p) for p in (20, 25)]
+        steps += [(second, p) for p in (15, 39)]
+        for corpus, position in steps:
+            self._check(ranker, corpus.training_view(position))
 
     def test_an_interrupted_sync_does_not_poison_the_counts(self, tmp_path):
         corpus = self._planted(tmp_path, seed=1)
@@ -249,13 +251,13 @@ class TestKernelRidgeRanker:
                                    rtol=0, atol=1e-12)
 
     @staticmethod
-    def _planted(tmp_path, seed=3):
+    def _planted(tmp_path, seed=3, row_roles=("theorem",)):
         formulas, deps = planted_corpus_text(n_items=60, n_topics=4, feats_per_topic=6,
                                              seed=seed)
         directory = tmp_path / f"seed{seed}"
-        directory.mkdir()
+        directory.mkdir(exist_ok=True)
         f, d = write_corpus(directory, formulas, deps)
-        return load_corpus([f], d)
+        return load_corpus([f], d, row_roles)
 
     def test_advice_depends_on_the_view_alone(self, tmp_path):
         corpus = self._planted(tmp_path)
@@ -266,11 +268,13 @@ class TestKernelRidgeRanker:
 
     def test_one_ranker_serves_any_corpus_and_row_roles(self, tmp_path):
         first, second = self._planted(tmp_path, seed=3), self._planted(tmp_path, seed=4)
+        first_all = self._planted(tmp_path, seed=3, row_roles=ROLES)
+        second_all = self._planted(tmp_path, seed=4, row_roles=ROLES)
         ranker = KernelRidgeRanker()
-        steps = [(first, 50, ("theorem",)), (first, 40, ROLES), (second, 45, ("theorem",)),
-                 (first, 55, ("theorem",)), (second, 30, ROLES), (second, 59, ROLES)]
-        for corpus, position, row_roles in steps:
-            view = corpus.training_view(position, row_roles)
+        steps = [(first, 50), (first_all, 40), (second, 45),
+                 (first, 55), (second_all, 30), (second_all, 59)]
+        for corpus, position in steps:
+            view = corpus.training_view(position)
             assert ranker.advise(view) == KernelRidgeRanker().advise(view)
 
     def test_a_failed_search_is_an_error_of_every_trainable_step(self, tmp_path, monkeypatch):
@@ -349,11 +353,11 @@ class TestKernelRidgeFactorPath:
 
     @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
     def test_every_step_agrees_with_the_reference(self, tmp_path, row_roles):
-        corpus = TestNaiveBayesRanker._planted(tmp_path, seed=1)
+        corpus = TestNaiveBayesRanker._planted(tmp_path, seed=1, row_roles=row_roles)
         ranker = KernelRidgeRanker()
         checked = 0
         for position in range(len(corpus)):
-            view = corpus.training_view(position, row_roles)
+            view = corpus.training_view(position)
             advice = ranker.advise(view)
             if advice.fallback:
                 assert len(view.rows) < 2 or not view.premise_ids
@@ -413,13 +417,14 @@ class TestKernelRidgeFactorPath:
 
     def test_views_that_do_not_extend_the_factor_restart(self, tmp_path):
         first = TestKernelRidgeRanker._planted(tmp_path, seed=3)
+        first_all = TestKernelRidgeRanker._planted(tmp_path, seed=3, row_roles=ROLES)
         second = TestKernelRidgeRanker._planted(tmp_path, seed=4)
         ranker = KernelRidgeRanker()
-        steps = [(first, p, ("theorem",)) for p in (50, 20, 55, 54, 30)]
-        steps += [(first, p, ROLES) for p in (40, 45)]
-        steps += [(second, p, ("theorem",)) for p in (35, 59)]
-        for corpus, position, row_roles in steps:
-            view = corpus.training_view(position, row_roles)
+        steps = [(first, p) for p in (50, 20, 55, 54, 30)]
+        steps += [(first_all, p) for p in (40, 45)]
+        steps += [(second, p) for p in (35, 59)]
+        for corpus, position in steps:
+            view = corpus.training_view(position)
             assert self._bits(ranker.advise(view)) == self._bits(KernelRidgeRanker().advise(view))
         # a changed (lambda, sigma) on the same rows: three rankers share one factor
         rankers = [KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(lam,), sigma_grid=(sigma,)))
@@ -507,7 +512,7 @@ class TestRunIncremental:
         # ranking, exact-fraction recall, then compare the averages.
         items = parse_file(f)
         keys = [oracle_feature_keys(it.formula) for it in items]
-        deps_by_name = {e.name: set(e.dependencies) for e in corpus.entries}
+        deps_by_name = dependencies_by_name(formulas, deps)
         expected: dict[int, list[Fraction]] = {n: [] for n in n_values}
         for i, item in enumerate(items):
             used = deps_by_name[item.name]
@@ -549,6 +554,7 @@ class TestRunIncremental:
         # Independent route: explicit loop kernels, a plain matrix
         # inverse instead of the factorization, and fraction recall.
         corpus = load_corpus([f], d)
+        deps_by_name = dependencies_by_name(formulas, deps)
 
         def gauss(a, b):
             a, b = set(a.indices), set(b.indices)
@@ -572,7 +578,7 @@ class TestRunIncremental:
             scores = A.T @ kvec
             order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
             ranked = [view.premise_ids[j] for j in order]
-            used = corpus.entries[outcome.position].dependencies
+            used = deps_by_name[outcome.conjecture_id]
             hits = sum(1 for name in ranked[:5] if name in used)
             assert outcome.recalls[5] == pytest.approx(hits / len(used), abs=1e-12)
             checked += 1
@@ -784,8 +790,8 @@ class TestEmit:
         corpus = load_corpus([f], d)
         files = emit_problems(corpus, "bushy", tmp_path / "bushy")
         emitted = {p.name[:-2]: len(parse_file(p)) - 1 for p in files}
-        for entry in corpus.entries:
-            assert emitted[entry.name] == len(entry.dependencies)
+        for name, used in dependencies_by_name(formulas, deps).items():
+            assert emitted[name] == len(used)
 
     def test_advised_mode_needs_ranker_and_n(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE, "item3: item1\n")
@@ -804,17 +810,18 @@ class TestEmit:
         f, d = write_corpus(tmp_path, formulas, deps)
         corpus = load_corpus([f], d)
         theorems = select_conjectures(corpus, None, ("theorem",))
-        advice = dict(zip(theorems, walk_advice(corpus, NaiveBayesRanker(), theorems,
-                                                 ("theorem",))))
+        advice = dict(zip(theorems, walk_advice(corpus, NaiveBayesRanker(), theorems)))
+        names = [item.name for item in parse_file(f)]
+        deps_by_name = dependencies_by_name(formulas, deps)
         axioms = {
-            "bushy": lambda p: sorted(corpus.entries[p].dependencies, key=corpus.position_of),
-            "chainy": lambda p: [e.name for e in corpus.entries[:p]],
+            "bushy": lambda p: sorted(deps_by_name[names[p]], key=names.index),
+            "chainy": lambda p: names[:p],
             "advised": lambda p: advice[p].premise_ids[:3],
         }
         for mode, axiom_ids in axioms.items():
             options = {"n": 3, "ranker": NaiveBayesRanker()} if mode == "advised" else {}
             files = emit_problems(corpus, mode, tmp_path / mode, **options)
-            assert [p.name for p in files] == [f"{corpus.entries[p].name}.p" for p in theorems]
+            assert [p.name for p in files] == [f"{names[p]}.p" for p in theorems]
             for position, path in zip(theorems, files):
                 expected = reference_problem_text(corpus, position, axiom_ids(position))
                 assert path.read_bytes() == expected.encode("utf-8"), (mode, path.name)
