@@ -53,6 +53,7 @@ from .evaluate import (
     emit_problems,
     report_csv,
     run_incremental,
+    select_conjectures,
     write_csv,
 )
 from .fol import ROLES
@@ -149,13 +150,28 @@ def _build_ranker(ranker, kernel, lambda_grid, sigma_grid, regrid, smoothing):
 _OPTION_NAMES = {"formula_paths": "formulas", "dep_path": "deps", "top_n": "n"}
 # neither changes what a run writes
 _UNRECORDED = {"out_dir", "jobs"}
+# ``_ranking_options`` past --formulas and --deps, by name: which ranker, on which rows
+_RANKER_OPTIONS = {
+    "ranker": dict(choices=["nb", "mor"], default="nb",
+                   help="nb = naive Bayes, mor = multi-output ridge (default: %(default)s)."),
+    "kernel": dict(choices=["gaussian", "linear"], default="gaussian",
+                   help="Kernel of the ridge ranker (default: %(default)s)."),
+    "lambda_grid": dict(help="Comma-separated regularization grid (default: 2^-7..2^7)."),
+    "sigma_grid": dict(help="Comma-separated kernel width grid (default: sigma^2 = 2^-3..2^9)."),
+    "regrid": dict(choices=["once", "always"], default="once",
+                   help="Re-run the grid search at every step or once (default: %(default)s)."),
+    "smoothing": dict(type=float, default=1.0,
+                      help="Additive smoothing for the naive Bayes counts (default: %(default)s)."),
+    "train_rows": dict(choices=["theorems", "all"], default="theorems", help="Roles that "
+                       "contribute training rows; all are premises (default: %(default)s)."),
+}
 
 
 def _write_metadata(out_dir, command: str, params: dict) -> None:
     """Echo a command's parsed options into ``run_metadata.json``."""
     options = {_OPTION_NAMES.get(k, k): v for k, v in params.items() if k not in _UNRECORDED}
-    if command == "emit" and options["mode"] != "advised":
-        options["ranker"] = options["n"] = None
+    if command == "emit" and options["mode"] != "advised":  # no ranker runs, no rows train
+        options.update(dict.fromkeys([*_RANKER_OPTIONS, "n"]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, "version": __version__, "options": options}
@@ -171,20 +187,19 @@ def rank(formula_paths, dep_path, train_rows, conjecture, top_n, out_dir, **rank
     _check_out_dir(out_dir)
     engine = _build_ranker(**ranker_flags)
     corpus = _load(formula_paths, dep_path, train_rows)
-    if conjecture not in corpus:
-        raise ConfigError(f"unknown conjecture id {conjecture!r}")
-    advice = advise_at(corpus, engine, corpus.position_of(conjecture))
+    (position,) = select_conjectures(corpus, (conjecture,))
+    advice = advise_at(corpus, engine, position)
     if advice.fallback:
         print("note: pool not trainable, advice is chronological", file=sys.stderr)
     n = min(top_n, len(advice.premise_ids))
     if n < top_n:
         print(f"warning: n={top_n} exceeds pool size {n}; returning whole pool", file=sys.stderr)
-    for pid, score in zip(advice.premise_ids[:n], advice.scores[:n]):
+    top = list(zip(advice.premise_ids[:n], advice.scores[:n]))
+    for pid, score in top:
         print(f"{pid}\t{score!r}")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        top = zip(advice.premise_ids[:n], advice.scores[:n])
         write_csv(out / "advice.csv", ["rank", "premise_id", "score"],
                   ([i, *row] for i, row in enumerate(top)))
 
@@ -296,18 +311,8 @@ def _ranking_options(add) -> None:
     add("--formulas", "-f", dest="formula_paths", action="append", required=True,
         metavar="FILE", help="Formula file; repeat for several, order = chronology.")
     add("--deps", dest="dep_path", required=True, metavar="FILE", help="Dependency file.")
-    add("--ranker", choices=["nb", "mor"], default="nb",
-        help="nb = naive Bayes, mor = multi-output ridge (default: %(default)s).")
-    add("--kernel", choices=["gaussian", "linear"], default="gaussian",
-        help="Kernel of the ridge ranker (default: %(default)s).")
-    add("--lambda-grid", help="Comma-separated regularization grid (default: 2^-7..2^7).")
-    add("--sigma-grid", help="Comma-separated kernel width grid (default: sigma^2 = 2^-3..2^9).")
-    add("--regrid", choices=["once", "always"], default="once",
-        help="Re-run the grid search at every step or once (default: %(default)s).")
-    add("--smoothing", type=float, default=1.0,
-        help="Additive smoothing for the naive Bayes counts (default: %(default)s).")
-    add("--train-rows", choices=["theorems", "all"], default="theorems",
-        help="Roles that contribute training rows; all are premises (default: %(default)s).")
+    for name, settings in _RANKER_OPTIONS.items():
+        add("--" + name.replace("_", "-"), **settings)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -23,8 +23,11 @@ from .fol import ROLES, NamedItem, parse_items
 
 
 def check_roles(roles, what: str) -> tuple[str, ...]:
-    """``roles`` as a tuple; a :class:`ConfigError` unless it names one or
-    more of :data:`~premsel.fol.ROLES`."""
+    """``roles`` as a tuple; a :class:`ConfigError` unless it is a
+    collection, not a string, of one or more of :data:`~premsel.fol.ROLES`."""
+    if isinstance(roles, str):
+        raise ConfigError(f"{what} roles must be a collection of role names, "
+                          f"got the string {roles!r}")
     if not roles or not set(roles) <= set(ROLES):
         raise ConfigError(f"{what} roles must be one or more of {', '.join(ROLES)}, "
                           f"got {', '.join(roles) or 'none'}")
@@ -205,7 +208,7 @@ def load_corpus(formula_paths, dependency_path, row_roles=("theorem",)) -> Corpu
     dependency file, see GRAMMAR.md for both formats, into a corpus whose
     items with a role in ``row_roles`` contribute training rows."""
     items: list[NamedItem] = []
-    seen: set[str] = set()
+    position: dict[str, int] = {}  # also the duplicate check across files
     for path in formula_paths:
         try:
             with open(path, encoding="utf-8") as handle:
@@ -213,11 +216,10 @@ def load_corpus(formula_paths, dependency_path, row_roles=("theorem",)) -> Corpu
         except (OSError, UnicodeDecodeError, FofSyntaxError) as exc:
             raise CorpusError(f"{path}: {exc}") from exc
         for item in parsed:
-            if item.name in seen:
+            if item.name in position:
                 raise CorpusError(f"{path}: duplicate item name {item.name!r}")
-            seen.add(item.name)
+            position[item.name] = len(items)
             items.append(item)
-    position = {item.name: i for i, item in enumerate(items)}
     try:
         with open(dependency_path, encoding="utf-8") as handle:
             text = handle.read()

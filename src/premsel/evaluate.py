@@ -172,15 +172,17 @@ class KernelRidgeRanker:
         return rank_advice(view.conjecture_id, view.premise_ids, scores)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjectureOutcome:
+    """One step of :func:`run_incremental`, built once the step is over."""
+
     conjecture_id: str
     position: int  # also the pool size: the pool is exactly the earlier items
     used_count: int
     fallback: bool
     # n -> recall value; None when the dependency set is empty
     recalls: dict[int, float] | None
-    error: str | None = None
+    error: str | None
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,12 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
     named in ``conjecture_ids``, or when it is None those whose role is
     in ``conjecture_roles`` (checked by :func:`check_roles` either way)."""
     roles = check_roles(conjecture_roles, "conjecture")
-    if conjecture_ids is not None:
-        for cid in conjecture_ids:
-            if cid not in corpus:
-                raise ConfigError(f"unknown conjecture id {cid!r}")
-        positions = sorted({corpus.position_of(cid) for cid in conjecture_ids})
-    else:
-        positions = [p for p, item in enumerate(corpus.items) if item.role in roles]
-    return positions
+    if conjecture_ids is None:
+        return [p for p, item in enumerate(corpus.items) if item.role in roles]
+    for cid in conjecture_ids:
+        if cid not in corpus:
+            raise ConfigError(f"unknown conjecture id {cid!r}")
+    return sorted({corpus.position_of(cid) for cid in conjecture_ids})
 
 
 def advise_at(corpus: Corpus, ranker, position: int) -> RankedAdvice:
@@ -235,11 +235,6 @@ def _averages(outcomes, n_values) -> dict[int, float]:
     return {n: math.fsum(o.recalls[n] for o in outcomes) / len(outcomes) for n in n_values}
 
 
-def _segment_sizes(count: int) -> list[int]:
-    base, extra = divmod(count, SEGMENT_COUNT)
-    return [base + 1 if i < extra else base for i in range(SEGMENT_COUNT)]
-
-
 def run_incremental(
     corpus: Corpus,
     ranker,
@@ -256,7 +251,7 @@ def run_incremental(
     lives only for its own step.  The ranker carries its state from one
     step to the next, but advice is a function of the view alone, so it
     does not depend on which other positions are selected.  A step's
-    :class:`PremselError` is recorded on its outcome and the run
+    :class:`PremselError` becomes its outcome's ``error`` and the run
     continues; a ``MemoryError`` ends the run.
     """
     n_values = tuple(sorted(set(int(n) for n in n_values)))
@@ -266,27 +261,24 @@ def run_incremental(
     outcomes = []
     for position in positions:
         used = frozenset(corpus.names[p] for p in corpus.rows[position].used)
-        outcome = ConjectureOutcome(
-            conjecture_id=corpus.names[position],
-            position=position,
-            used_count=len(used),
-            fallback=False,
-            recalls=None,
-        )
-        outcomes.append(outcome)
+        fallback, recalls, error = False, None, None
         try:
             advice = advise_at(corpus, ranker, position)
         except PremselError as exc:
-            outcome.error = str(exc)
-            continue
-        outcome.fallback = advice.fallback
-        if used:
-            outcome.recalls = {n: recall_at(used, advice, n) for n in n_values}
+            error = str(exc)
+        else:
+            fallback = advice.fallback
+            if used:
+                recalls = {n: recall_at(used, advice, n) for n in n_values}
+        outcomes.append(ConjectureOutcome(corpus.names[position], position, len(used),
+                                          fallback, recalls, error))
 
     evaluated = [o for o in outcomes if o.recalls is not None]
     segments = []
+    base, extra = divmod(len(evaluated), SEGMENT_COUNT)
     start = 0
-    for index, size in enumerate(_segment_sizes(len(evaluated))):
+    for index in range(SEGMENT_COUNT):
+        size = base + 1 if index < extra else base
         chunk = evaluated[start : start + size]
         start += size
         segments.append(SegmentSummary(index, len(chunk), _averages(chunk, n_values)))
@@ -354,14 +346,14 @@ def _safe_filename(identifier: str) -> str:
     return "".join(c if c.isalnum() or c in "_.-" else "_" for c in identifier)
 
 
-def _write_problem(corpus: Corpus, position: int, axiom_ids, out_dir: Path,
+def _write_problem(corpus: Corpus, position: int, axioms, out_dir: Path,
                    axiom_texts: dict[int, str]) -> Path:
-    """Write one problem file; ``axiom_texts`` caches each item's printed
-    axiom-role text by position for the whole run."""
+    """Write the problem of the item at ``position`` with the items at the
+    positions ``axioms`` as its axioms; ``axiom_texts`` caches each
+    item's printed axiom-role text by position for the whole run."""
     conjecture = corpus.items[position]
     lines = []
-    for axiom_id in axiom_ids:
-        at = corpus.position_of(axiom_id)
+    for at in axioms:
         text = axiom_texts.get(at)
         if text is None:
             item = dataclasses.replace(corpus.items[at], role="axiom")
@@ -421,10 +413,10 @@ def emit_problems(
     axiom_texts: dict[int, str] = {}
     for position in positions:
         if mode == "bushy":
-            axiom_ids = [corpus.names[p] for p in sorted(corpus.rows[position].used)]
+            axioms = sorted(corpus.rows[position].used)
         elif mode == "chainy":
-            axiom_ids = corpus.names[:position]
+            axioms = range(position)
         else:
-            axiom_ids = advise_at(corpus, ranker, position).premise_ids[:n]
-        written.append(_write_problem(corpus, position, axiom_ids, out, axiom_texts))
+            axioms = map(corpus.position_of, advise_at(corpus, ranker, position).premise_ids[:n])
+        written.append(_write_problem(corpus, position, axioms, out, axiom_texts))
     return written

@@ -8,6 +8,7 @@ paths under test.
 """
 
 import contextlib
+import itertools
 import math
 import os
 import random
@@ -221,12 +222,14 @@ _ROWS = [
 def _oracle_tables(combo):
     """Count tables of a row multiset: rows, rows using the premise, and
     per feature the rows holding it that do and do not use the premise."""
-    uses = sum(1 for c in combo if _ROW_CONFIGS[c][1])
-    cp, cn = [], []
-    for feature in range(4):
-        present = 1 << feature
-        cp.append(sum(1 for c in combo if _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present))
-        cn.append(sum(1 for c in combo if not _ROW_CONFIGS[c][1] and _ROW_CONFIGS[c][0] & present))
+    uses, cp, cn = 0, [0] * 4, [0] * 4
+    for c in combo:
+        mask, used = _ROW_CONFIGS[c]
+        uses += used
+        table = cp if used else cn
+        for feature in range(4):
+            if mask >> feature & 1:
+                table[feature] += 1
     return len(combo), uses, cp, cn
 
 
@@ -250,43 +253,74 @@ def _multisets(prefix=(), size=5):
             yield from _multisets(prefix + (c,), size)
 
 
+def _packed_views(size=5):
+    """Every multiset of at most ``size`` feature masks as one view, with
+    one premise per pattern of used rows, and per view the row multiset
+    (a sorted tuple of ``_ROWS`` indices) that each premise sees.  Among
+    rows of one mask the used ones come last, so each row multiset is
+    one pattern of one view."""
+    for r in range(size + 1):
+        for masks in itertools.combinations_with_replacement(_MASKS, r):
+            runs = [len(list(run)) for _, run in itertools.groupby(masks)]
+            combos = []
+            for uses in itertools.product(*(range(k + 1) for k in runs)):
+                used = [i >= k - u for k, u in zip(runs, uses) for i in range(k)]
+                combos.append(tuple(2 * mask + u for mask, u in zip(masks, used)))
+            rows = tuple(
+                TrainingRow(0, _VECTORS[mask],
+                            frozenset(j for j, combo in enumerate(combos) if combo[i] % 2))
+                for i, mask in enumerate(masks)
+            )
+            premises = tuple(f"p{j}" for j in range(len(combos)))
+            yield combos, TrainingView(premises, rows, "c", FeatureVector([]))
+
+
 def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
     # Scores decompose per premise, and both routes are invariant to row
     # order (sums over rows; checked separately in the unit tests), so
     # enumerating all row multisets for a single premise covers every
-    # corpus with <= 4 features and <= 5 rows.  All 2^4 conjecture
-    # feature sets are checked per corpus.  The running counts that eval
-    # scores with are checked on every view of <= 3 rows, carried from
-    # one view to the next: a view that extends the one before appends,
-    # any other restarts.
+    # corpus with <= 4 features and <= 5 rows.  The reference scores the
+    # row multisets that share their feature masks as one view, one
+    # premise each, and every premise is compared with the oracle of its
+    # own multiset.  All 2^4 conjecture feature sets are checked per
+    # multiset.  The running counts that eval scores with are checked on
+    # every view of <= 3 rows, carried from one view to the next: a view
+    # that extends the one before appends, any other restarts.
     with criterion(3, "naive Bayes equals the smoothed count-table oracle"):
         checked = 0
+        covered = set()
+        reference = {}  # row multiset of <= 3 rows -> its score per conjecture
+        for combos, view in _packed_views():
+            model = nb_train(view)
+            scores = [nb_score(model, conjecture).tolist() for conjecture in _VECTORS]
+            for j, combo in enumerate(combos):
+                tables = _oracle_tables(combo)
+                for conjecture, got in zip(_VECTORS, scores):
+                    want = _oracle_table_score(tables, conjecture.indices)
+                    assert abs(got[j] - want) <= 1e-12, (combo, conjecture.indices)
+                    checked += 1
+                covered.add(combo)
+                if len(combo) <= 3:
+                    reference[combo] = [got[j] for got in scores]
+        multisets = sum(math.comb(31 + r, r) for r in range(6))
+        assert checked == 16 * multisets
+        # the patterns are the row multisets, each once
+        assert len(covered) == multisets and all(combo in covered for combo in _multisets())
         counts = NbCounts()
         appended = restarted = 0
-        for combo in _multisets():
+        for combo in _multisets(size=3):
             rows = tuple(_ROWS[c] for c in combo)
-            view = TrainingView(("p",), rows, "c", FeatureVector([]))
-            model = nb_train(view)
             tables = _oracle_tables(combo)
-            running = len(rows) <= 3
-            if running:
-                if rows[: len(counts.rows)] == counts.rows:
-                    appended += 1
-                else:
-                    restarted += 1
-                counts.sync(rows)
-            for conjecture in _VECTORS:
-                got = nb_score(model, conjecture)[0]
+            if rows[: len(counts.rows)] == counts.rows:
+                appended += 1
+            else:
+                restarted += 1
+            counts.sync(rows)
+            for conjecture, got in zip(_VECTORS, reference[combo]):
                 want = _oracle_table_score(tables, conjecture.indices)
-                assert abs(got - want) <= 1e-12, (combo, conjecture.indices)
-                if running:
-                    fast = counts.score(1, conjecture)[0]
-                    assert float(fast).hex() == float(got).hex(), (combo, conjecture.indices)
-                    assert abs(fast - want) <= 1e-12, (combo, conjecture.indices)
-                checked += 1
-        assert checked == 16 * sum(
-            math.comb(31 + r, r) for r in range(6)
-        )
+                fast = counts.score(1, conjecture)[0]
+                assert float(fast).hex() == float(got).hex(), (combo, conjecture.indices)
+                assert abs(fast - want) <= 1e-12, (combo, conjecture.indices)
         assert appended + restarted == sum(math.comb(31 + r, r) for r in range(4))
         assert appended and restarted
 

@@ -85,6 +85,8 @@ class TestRank:
     def test_unknown_conjecture_is_a_config_error(self):
         result = run_cli("rank", *toy_args(), "--conjecture", "nope")
         assert result.returncode == 2
+        # the message that eval and emit give too (SELECTION_ERRORS)
+        assert result.stderr == "configuration error: unknown conjecture id 'nope'\n"
 
     def test_rank_writes_advice_and_metadata(self, tmp_path):
         out = tmp_path / "out"
@@ -605,12 +607,12 @@ class TestMetadata:
         ),
         "emit-bushy": (
             ["emit", *toy_args(), "--mode", "bushy", "--conjectures", "th_one_num"],
-            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": None, "mode": "bushy",
+            {**CORPUS_OPTIONS, **dict.fromkeys(RANKER_OPTIONS), "mode": "bushy",
              "n": None, "conjectures": "th_one_num", "conjecture_roles": "theorem"},
         ),
         "emit-bushy-top": (
             ["emit", *toy_args(), "--mode", "bushy", "-n", "2"],
-            {**CORPUS_OPTIONS, **RANKER_OPTIONS, "ranker": None, "mode": "bushy",
+            {**CORPUS_OPTIONS, **dict.fromkeys(RANKER_OPTIONS), "mode": "bushy",
              "n": None, "conjectures": None, "conjecture_roles": "theorem"},
         ),
         "emit-advised": (

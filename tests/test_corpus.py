@@ -7,6 +7,7 @@ import pytest
 
 from premsel.corpus import load_corpus, parse_dependency_lines
 from premsel.errors import ConfigError, CorpusError
+from premsel.evaluate import select_conjectures
 from premsel.features import extract_features, vectorize
 from premsel.fol import ROLES, parse_items
 
@@ -95,6 +96,14 @@ class TestLoad:
         with pytest.raises(ConfigError, match="training roles must be one or more of "
                                               "axiom, definition, theorem, conjecture"):
             _load(tmp_path, row_roles=row_roles)
+
+    def test_a_bare_string_is_not_a_role_set(self, tmp_path):
+        # a string is a collection of letters: it must not pass as roles t, h, e, ...
+        message = "roles must be a collection of role names, got the string 'theorem'"
+        with pytest.raises(ConfigError, match=f"training {message}"):
+            _load(tmp_path, row_roles="theorem")
+        with pytest.raises(ConfigError, match=f"conjecture {message}"):
+            select_conjectures(_load(tmp_path), None, "theorem")
 
     def test_comment_and_blank_lines_ignored(self):
         deps = parse_dependency_lines("# c\n\nt3: t1\n", {"t1": 0, "t3": 2})

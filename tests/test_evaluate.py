@@ -626,6 +626,9 @@ class TestRunIncremental:
         by_id = {o.conjecture_id: o for o in report.outcomes}
         assert by_id["item3"].error == "boom"
         assert by_id["item3"].recalls is None
+        # an outcome is built once, after its step, and is not changed later
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_id["item3"].error = None
 
     def test_running_out_of_memory_names_the_step(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE + "fof(item4, theorem, p(a)).\n",
