@@ -191,12 +191,12 @@ def rank(formula_paths, dep_path, train_rows, conjecture, top_n, out_dir, **rank
     advice = advise_at(corpus, engine, position)
     if advice.fallback:
         print("note: pool not trainable, advice is chronological", file=sys.stderr)
-    n = min(top_n, len(advice.premise_ids))
-    if n < top_n:
-        print(f"warning: n={top_n} exceeds pool size {n}; returning whole pool", file=sys.stderr)
-    top = list(zip(advice.premise_ids[:n], advice.scores[:n]))
-    for pid, score in top:
-        print(f"{pid}\t{score!r}")
+    if top_n > position:  # the pool is the items before the conjecture
+        print(f"warning: n={top_n} exceeds pool size {position}; returning whole pool",
+              file=sys.stderr)
+    top = [(corpus.names[p], score) for p, score in zip(advice.premises[:top_n], advice.scores)]
+    for name, score in top:
+        print(f"{name}\t{score!r}")
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -46,9 +46,10 @@ class TrainingRow:
 
 @dataclass(frozen=True)
 class TrainingView:
-    """Everything a ranker may see when ranking one conjecture."""
+    """Everything a ranker may see when ranking one conjecture: the
+    candidate premises are the items at positions ``0 … pool-1``."""
 
-    premise_ids: tuple[str, ...]
+    pool: int
     rows: tuple[TrainingRow, ...]
     conjecture_id: str
     conjecture_features: FeatureVector
@@ -102,18 +103,15 @@ class Corpus:
     item is a premise.
     """
 
-    def __init__(self, items, dependencies, row_roles=("theorem",)):
+    def __init__(self, items, position: dict[str, int], dependencies, row_roles=("theorem",)):
         self.row_roles = check_roles(row_roles, "training")
         self.items: tuple[NamedItem, ...] = tuple(items)
         self.names = tuple(item.name for item in self.items)
-        self._position: dict[str, int] = {name: i for i, name in enumerate(self.names)}
+        self._position = position  # name -> index in items, built by load_corpus
         self.ensure_featurized(dependencies)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def __contains__(self, identifier: str) -> bool:
-        return identifier in self._position
 
     def position_of(self, identifier: str) -> int:
         try:
@@ -161,7 +159,7 @@ class Corpus:
         known = self._known[position]
         trained = bisect_left(self._trained, position, key=lambda row: row.position)
         return TrainingView(
-            premise_ids=self.names[:position],
+            pool=position,
             rows=self._trained[:trained],
             conjecture_id=self.names[position],
             conjecture_features=FeatureVector(
@@ -225,4 +223,4 @@ def load_corpus(formula_paths, dependency_path, row_roles=("theorem",)) -> Corpu
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{dependency_path}: {exc}") from exc
-    return Corpus(items, parse_dependency_lines(text, position), row_roles)
+    return Corpus(items, position, parse_dependency_lines(text, position), row_roles)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._lazy import lazy_module
 from .corpus import Corpus, TrainingView, check_roles
-from .errors import ConfigError, PremselError, TrainingError
+from .errors import ConfigError, CorpusError, PremselError, TrainingError
 from .fol import print_item
 from .kernel import (
     GridSearchConfig,
@@ -43,43 +43,33 @@ SEGMENT_COUNT = 4
 
 @dataclass(frozen=True)
 class RankedAdvice:
-    """Premise ids of one pool in descending score order.
+    """Premise positions of one pool in descending score order.
 
-    The id list is always a permutation of the candidate pool.  Ties are
-    broken by chronological position, earlier first, so advice is
-    deterministic.  ``fallback`` marks pools that were returned in plain
-    chronological order because the ranker could not be trained.
+    ``premises`` is always a permutation of the pool's positions
+    ``0 … pool-1``, and ``scores`` holds their scores.  Ties are broken
+    by position, earlier first, so advice is deterministic.  ``fallback``
+    marks pools that were returned in plain chronological order because
+    the ranker could not be trained.
     """
 
-    conjecture_id: str
-    premise_ids: tuple[str, ...]
+    premises: tuple[int, ...]
     scores: tuple[float, ...]
     fallback: bool = False
 
 
-def rank_advice(conjecture_id, premise_ids, scores) -> RankedAdvice:
+def rank_advice(conjecture_id, scores) -> RankedAdvice:
+    """Advice from the scores of premises ``0 … len(scores)-1``."""
     s = np.asarray(scores, dtype=float)
-    if len(s) != len(premise_ids):
-        raise ValueError("scores and premise ids differ in length")
     # NaN compares false both ways, so sorting would silently keep pool order
     if not np.isfinite(s).all():
         raise TrainingError(f"non-finite premise score for {conjecture_id}")
     # a stable sort keeps equal scores (0.0 and -0.0 too) in pool order
     order = np.argsort(-s, kind="stable")
-    return RankedAdvice(
-        conjecture_id,
-        tuple(np.array(premise_ids, dtype=object)[order].tolist()),
-        tuple(s[order].tolist()),
-    )
+    return RankedAdvice(tuple(order.tolist()), tuple(s[order].tolist()))
 
 
 def chronological_fallback(view: TrainingView) -> RankedAdvice:
-    return RankedAdvice(
-        view.conjecture_id,
-        view.premise_ids,
-        tuple(0.0 for _ in view.premise_ids),
-        fallback=True,
-    )
+    return RankedAdvice(tuple(range(view.pool)), (0.0,) * view.pool, fallback=True)
 
 
 def recall_at(used, advice: RankedAdvice, n: int) -> float:
@@ -89,8 +79,7 @@ def recall_at(used, advice: RankedAdvice, n: int) -> float:
         raise ValueError("recall is undefined for an empty dependency set")
     if n < 1:
         raise ValueError("n must be positive")
-    top = advice.premise_ids[: min(n, len(advice.premise_ids))]
-    return len(used.intersection(top)) / len(used)
+    return len(used.intersection(advice.premises[:n])) / len(used)
 
 
 class NaiveBayesRanker:
@@ -105,11 +94,11 @@ class NaiveBayesRanker:
         self.counts = NbCounts(smoothing)
 
     def advise(self, view: TrainingView) -> RankedAdvice:
-        if not view.premise_ids:
+        if not view.pool:
             return chronological_fallback(view)
         self.counts.sync(view.rows)
-        scores = self.counts.score(len(view.premise_ids), view.conjecture_features)
-        return rank_advice(view.conjecture_id, view.premise_ids, scores)
+        scores = self.counts.score(view.pool, view.conjecture_features)
+        return rank_advice(view.conjecture_id, scores)
 
 
 class KernelRidgeRanker:
@@ -157,19 +146,19 @@ class KernelRidgeRanker:
         rows = view.rows[:2] if self.regrid == "once" else view.rows
         # A tuple compare of the corpus's shared rows: mostly identity checks.
         if rows != self._searched_rows:
-            pool = view.premise_ids[: rows[-1].position + 1]
-            self._searched = grid_search(dataclasses.replace(view, rows=rows, premise_ids=pool),
+            pool = rows[-1].position + 1
+            self._searched = grid_search(dataclasses.replace(view, rows=rows, pool=pool),
                                          self.kernel_kind, self.grid)
             self._searched_rows = rows
         return self._searched
 
     def advise(self, view: TrainingView) -> RankedAdvice:
-        if len(view.rows) < 2 or not view.premise_ids:
+        if len(view.rows) < 2 or not view.pool:
             return chronological_fallback(view)
         search = self._search(view)
         self.factor.sync(view.rows, search.best_kernel, search.best_lambda)
-        scores = self.factor.score(len(view.premise_ids), view.conjecture_features)
-        return rank_advice(view.conjecture_id, view.premise_ids, scores)
+        scores = self.factor.score(view.pool, view.conjecture_features)
+        return rank_advice(view.conjecture_id, scores)
 
 
 @dataclass(frozen=True)
@@ -210,10 +199,13 @@ def select_conjectures(corpus: Corpus, conjecture_ids=None, conjecture_roles=("t
     roles = check_roles(conjecture_roles, "conjecture")
     if conjecture_ids is None:
         return [p for p, item in enumerate(corpus.items) if item.role in roles]
+    positions = set()
     for cid in conjecture_ids:
-        if cid not in corpus:
-            raise ConfigError(f"unknown conjecture id {cid!r}")
-    return sorted({corpus.position_of(cid) for cid in conjecture_ids})
+        try:
+            positions.add(corpus.position_of(cid))
+        except CorpusError:
+            raise ConfigError(f"unknown conjecture id {cid!r}") from None
+    return sorted(positions)
 
 
 def advise_at(corpus: Corpus, ranker, position: int) -> RankedAdvice:
@@ -260,7 +252,7 @@ def run_incremental(
     positions = select_conjectures(corpus, conjecture_ids, conjecture_roles)
     outcomes = []
     for position in positions:
-        used = frozenset(corpus.names[p] for p in corpus.rows[position].used)
+        used = corpus.rows[position].used
         fallback, recalls, error = False, None, None
         try:
             advice = advise_at(corpus, ranker, position)
@@ -417,6 +409,6 @@ def emit_problems(
         elif mode == "chainy":
             axioms = range(position)
         else:
-            axioms = map(corpus.position_of, advise_at(corpus, ranker, position).premise_ids[:n])
+            axioms = advise_at(corpus, ranker, position).premises[:n]
         written.append(_write_problem(corpus, position, axioms, out, axiom_texts))
     return written

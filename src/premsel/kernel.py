@@ -347,17 +347,18 @@ class RidgeFactor(RowState):
 
 @dataclass
 class RidgeModel:
-    """Trained coefficients plus everything needed to score new formulas."""
+    """Trained coefficients plus everything needed to score new formulas
+    against the ``pool`` premises at positions ``0 … pool-1``."""
 
     kernel: KernelSpec
     lam: float
-    premise_ids: tuple[str, ...]
+    pool: int
     row_vectors: tuple[FeatureVector, ...]
-    coef: np.ndarray  # len(row_vectors) x len(premise_ids)
+    coef: np.ndarray  # len(row_vectors) x pool
 
 
 def _label_matrix(view: TrainingView) -> np.ndarray:
-    Y = np.zeros((len(view.rows), len(view.premise_ids)))
+    Y = np.zeros((len(view.rows), view.pool))
     for r, row in enumerate(view.rows):
         for p in row.used:
             Y[r, p] = 1.0
@@ -367,12 +368,12 @@ def _label_matrix(view: TrainingView) -> np.ndarray:
 def ridge_train(view: TrainingView, spec: KernelSpec, lam: float) -> RidgeModel:
     if not view.rows:
         raise TrainingError("no training rows")
-    if not view.premise_ids:
+    if not view.pool:
         raise TrainingError("empty premise pool")
     vectors = tuple(row.features for row in view.rows)
     K = build_kernel_matrix(spec, vectors)
     A = ridge_solve(K, _label_matrix(view), lam)
-    return RidgeModel(spec, lam, view.premise_ids, vectors, A)
+    return RidgeModel(spec, lam, view.pool, vectors, A)
 
 
 def ridge_score(model: RidgeModel, features: FeatureVector) -> np.ndarray:

@@ -30,7 +30,8 @@ np = lazy_module("numpy")
 
 @dataclass
 class NbModel:
-    """Trained classifier state for every premise of one training pool.
+    """Trained classifier state for every premise of one training pool,
+    the ``pool`` positions ``0 … pool-1``.
 
     ``priors[p]`` is the smoothed prior log-odds of premise p being
     used.  ``bases[p]`` is the log-odds weight shared by every feature
@@ -38,7 +39,7 @@ class NbModel:
     from the stored counts; see :meth:`weight`.
     """
 
-    premise_ids: tuple[str, ...]
+    pool: int
     row_count: int
     smoothing: float
     uses: tuple[int, ...]
@@ -77,7 +78,7 @@ def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
     premises shares the per-feature row totals.
     """
     _check_smoothing(smoothing)
-    pool = len(view.premise_ids)
+    pool = view.pool
     if pool == 0:
         raise TrainingError("empty premise pool")
     uses = [0] * pool
@@ -95,7 +96,7 @@ def nb_train(view: TrainingView, smoothing: float = 1.0) -> NbModel:
                 counts[i] = counts.get(i, 0) + 1
     rows = len(view.rows)
     return NbModel(
-        premise_ids=view.premise_ids,
+        pool=pool,
         row_count=rows,
         smoothing=smoothing,
         uses=tuple(uses),
@@ -119,8 +120,8 @@ def nb_score(model: NbModel, features: FeatureVector) -> np.ndarray:
     a = model.smoothing
     # counts are bounded by the row count, so log values come from a table
     logs = [math.log(c + a) for c in range(model.row_count + 1)]
-    scores = np.empty(len(model.premise_ids))
-    for p in range(len(model.premise_ids)):
+    scores = np.empty(model.pool)
+    for p in range(model.pool):
         counts = model.positive_counts[p]
         s = model.priors[p] + k * model.bases[p]
         for i, tot in zip(idx, tots):

@@ -185,10 +185,11 @@ def random_vectors(rng: np.random.Generator, count: int, width: int = 12,
 # ---------------------------------------------------------------------------
 
 
-def view_from_indices(rows, premise_ids, conjecture_indices=()) -> TrainingView:
-    """rows: sequence of (feature index iterable, used premise positions)."""
+def view_from_indices(rows, pool, conjecture_indices=()) -> TrainingView:
+    """rows: sequence of (feature index iterable, used premise positions);
+    the premises are positions ``0 … pool-1``."""
     return TrainingView(
-        premise_ids=tuple(premise_ids),
+        pool=pool,
         rows=tuple(
             TrainingRow(i, FeatureVector(feats), frozenset(used))
             for i, (feats, used) in enumerate(rows)

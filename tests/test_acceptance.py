@@ -160,7 +160,7 @@ def test_criterion_2_normal_equation_residual_bound(monkeypatch, tmp_path):
             view = view_from_indices(
                 [(list(v.indices), {int(p) for p in np.flatnonzero(rng.uniform(size=5) < 0.3)})
                  for v in random_vectors(rng, n, width=30, max_size=8)],
-                [f"p{i}" for i in range(5)],
+                5,
             )
             kind = ("gaussian", "linear")[trial % 2]
             kernel.grid_search(view, kind, GridSearchConfig())
@@ -271,8 +271,7 @@ def _packed_views(size=5):
                             frozenset(j for j, combo in enumerate(combos) if combo[i] % 2))
                 for i, mask in enumerate(masks)
             )
-            premises = tuple(f"p{j}" for j in range(len(combos)))
-            yield combos, TrainingView(premises, rows, "c", FeatureVector([]))
+            yield combos, TrainingView(len(combos), rows, "c", FeatureVector([]))
 
 
 def test_criterion_3_naive_bayes_matches_count_table_oracle_exhaustively():
@@ -353,18 +352,18 @@ def test_criterion_4_gaussian_kernel_matrix_properties():
 def _enumerated_recall_cases():
     # Systematic small cases with exact expected fractions, plus the
     # documented 0.5 and boundary cases.
-    pool = ("a", "b", "c", "d", "e")
+    pool = (0, 1, 2, 3, 4)
     cases = []
-    cases.append((("a", "c", "b"), {"a", "b"}, 2, Fraction(1, 2)))
-    cases.append((("a", "b"), {"a"}, 1, Fraction(1, 1)))
-    cases.append((("b", "a"), {"a"}, 1, Fraction(0, 1)))
-    cases.append((("a", "b", "c"), {"a", "b", "c"}, 99, Fraction(1, 1)))
+    cases.append(((0, 2, 1), {0, 1}, 2, Fraction(1, 2)))
+    cases.append(((0, 1), {0}, 1, Fraction(1, 1)))
+    cases.append(((1, 0), {0}, 1, Fraction(0, 1)))
+    cases.append(((0, 1, 2), {0, 1, 2}, 99, Fraction(1, 1)))
     for size in (1, 2, 3, 4, 5):
         ranked = pool[:size]
         for used_mask in range(1, 2**size):
             used = {ranked[i] for i in range(size) if used_mask >> i & 1}
             for n in (1, 2, size, size + 3):
-                hits = sum(1 for name in ranked[: min(n, size)] if name in used)
+                hits = sum(1 for premise in ranked[: min(n, size)] if premise in used)
                 cases.append((ranked, used, n, Fraction(hits, len(used))))
     return cases[:50] + cases[50::7]  # 50 core cases plus a systematic tail
 
@@ -374,15 +373,15 @@ def test_criterion_5_recall_exact_values_and_monotonicity():
         cases = _enumerated_recall_cases()
         assert len(cases) >= 50
         for ranked, used, n, expected in cases:
-            advice = RankedAdvice("c", tuple(ranked), tuple(float(len(ranked) - i) for i in range(len(ranked))))
+            advice = RankedAdvice(tuple(ranked), tuple(float(len(ranked) - i) for i in range(len(ranked))))
             assert recall_at(used, advice, n) == float(expected)
 
         rng = random.Random(SEED)
         for _ in range(1000):
             size = rng.randint(1, 15)
-            ranked = [f"p{i}" for i in range(size)]
+            ranked = list(range(size))
             rng.shuffle(ranked)
-            advice = RankedAdvice("c", tuple(ranked), tuple(float(-i) for i in range(size)))
+            advice = RankedAdvice(tuple(ranked), tuple(float(-i) for i in range(size)))
             used = set(rng.sample(ranked, rng.randint(1, size)))
             values = [recall_at(used, advice, n) for n in range(1, size + 3)]
             assert all(a <= b for a, b in zip(values, values[1:]))
@@ -505,9 +504,9 @@ def test_criterion_9b_no_leakage_over_full_run(tmp_path):
         # the run's walk: one ranker over its positions, in order
         positions = [o.position for o in report.outcomes]
         for position, advice in zip(positions, walk_advice(corpus, NaiveBayesRanker(), positions)):
-            assert len(advice.premise_ids) == position
-            for pid in advice.premise_ids:
-                assert corpus.position_of(pid) < position
+            assert len(advice.premises) == position
+            for premise in advice.premises:
+                assert premise < position
 
 
 def test_criterion_9c_bushy_subset_of_chainy(tmp_path):

@@ -80,7 +80,14 @@ class TestRank:
         result = run_cli("rank", *toy_args(), "--conjecture", "th_one_num", "-n", "99")
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 3  # pool before position 3
-        assert "exceeds pool size" in result.stderr
+        assert result.stderr == "warning: n=99 exceeds pool size 3; returning whole pool\n"
+
+    def test_position_zero_has_an_empty_pool(self):
+        result = run_cli("rank", *toy_args(), "--conjecture", "ax_zero", "-n", "3")
+        assert result.returncode == 0
+        assert result.stdout == ""
+        assert result.stderr == ("note: pool not trainable, advice is chronological\n"
+                                 "warning: n=3 exceeds pool size 0; returning whole pool\n")
 
     def test_unknown_conjecture_is_a_config_error(self):
         result = run_cli("rank", *toy_args(), "--conjecture", "nope")
@@ -120,12 +127,13 @@ class TestRank:
             n_items=60, n_topics=4, feats_per_topic=6, seed=3))
         corpus = load_corpus([f], d)
         # the walk eval takes: one ranker over every selected position in order
-        advice = walk_advice(corpus, KernelRidgeRanker(), select_conjectures(corpus))[-1]
+        positions = select_conjectures(corpus)
+        advice = walk_advice(corpus, KernelRidgeRanker(), positions)[-1]
         result = run_cli("rank", "-f", f, "--deps", d, "--ranker", "mor", "-n", "5",
-                         "--conjecture", advice.conjecture_id)
+                         "--conjecture", corpus.names[positions[-1]])
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            f"{pid}\t{score!r}" for pid, score in zip(advice.premise_ids[:5], advice.scores[:5])]
+        assert result.stdout.splitlines() == [f"{corpus.names[p]}\t{score!r}" for p, score
+                                              in zip(advice.premises[:5], advice.scores[:5])]
 
 
 class TestEval:
@@ -371,19 +379,51 @@ class TestEmit:
                              "--out-dir", out)
             assert result.returncode == 0, result.stderr
             corpus = load_corpus([TOY / "formulas.p"], TOY / "deps.txt", row_roles)
-            walked = walks[train_rows] = walk_advice(corpus, NaiveBayesRanker(),
-                                                     select_conjectures(corpus))
+            positions = select_conjectures(corpus)
+            walked = walks[train_rows] = walk_advice(corpus, NaiveBayesRanker(), positions)
             assert len(walked) == 4
-            for advice in walked:
-                top = list(advice.premise_ids[:2])
-                axioms = [item.name for item in parse_file(out / f"{advice.conjecture_id}.p")]
-                ranked = run_cli("rank", *toy_args(), *option, "--conjecture",
-                                 advice.conjecture_id, "-n", "2")
+            for position, advice in zip(positions, walked):
+                top = [corpus.names[p] for p in advice.premises[:2]]
+                name = corpus.names[position]
+                axioms = [item.name for item in parse_file(out / f"{name}.p")]
+                ranked = run_cli("rank", *toy_args(), *option, "--conjecture", name, "-n", "2")
                 assert ranked.returncode == 0, ranked.stderr
                 assert axioms[:-1] == top
                 assert [line.split("\t")[0] for line in ranked.stdout.splitlines()] == top
         # the role set of the load reaches every command's advice
         assert walks["theorems"] != walks["all"]
+
+    @pytest.mark.parametrize("ranker", ["nb", "mor"])
+    def test_advice_is_a_permutation_of_the_earlier_positions(self, tmp_path, ranker):
+        f, d = write_corpus(tmp_path, *planted_corpus_text(
+            n_items=60, n_topics=4, feats_per_topic=6, seed=3))
+        corpus = load_corpus([f], d)
+        engine = NaiveBayesRanker() if ranker == "nb" else KernelRidgeRanker()
+        walked = walk_advice(corpus, engine, range(len(corpus)))
+        for position, advice in enumerate(walked):
+            assert sorted(advice.premises) == list(range(position))
+        assert sum(not advice.fallback for advice in walked) > 40
+
+        def top(position, n=4):
+            advice = walked[position]
+            return [(corpus.names[p], score)
+                    for p, score in zip(advice.premises[:n], advice.scores)]
+
+        out = tmp_path / "advised"
+        result = run_cli("emit", "-f", f, "--deps", d, "--ranker", ranker, "--mode", "advised",
+                         "-n", "4", "--out-dir", out)
+        assert result.returncode == 0, result.stderr
+        theorems = select_conjectures(corpus)
+        for position in theorems:
+            axioms = [item.name for item in parse_file(out / f"{corpus.names[position]}.p")]
+            assert axioms == [name for name, _ in top(position)] + [corpus.names[position]]
+        # a pool shorter than n, the first theorem and the last
+        for position in (2, theorems[0], theorems[-1]):
+            result = run_cli("rank", "-f", f, "--deps", d, "--ranker", ranker, "-n", "4",
+                             "--conjecture", corpus.names[position])
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines() == [f"{name}\t{score!r}"
+                                                  for name, score in top(position)]
 
     @pytest.mark.parametrize("mode", ["bushy", "chainy", "advised"])
     def test_file_name_clash_is_a_config_error(self, tmp_path, mode):

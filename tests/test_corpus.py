@@ -113,16 +113,17 @@ class TestLoad:
 class TestTrainingView:
     def test_position_zero_has_empty_pool(self, tmp_path):
         view = _load(tmp_path).training_view(0)
-        assert view.premise_ids == ()
+        assert view.pool == 0
         assert view.rows == ()
 
     def test_pool_is_exactly_the_prefix(self, tmp_path):
-        view = _load(tmp_path).training_view(2)
-        assert view.premise_ids == ("t1", "t2")
+        corpus = _load(tmp_path)
+        view = corpus.training_view(2)
+        assert view.pool == 2 and corpus.names[: view.pool] == ("t1", "t2")
 
     def test_pool_sizes_grow_linearly(self, tmp_path):
         corpus = _load(tmp_path)
-        assert [len(corpus.training_view(i).premise_ids) for i in range(3)] == [0, 1, 2]
+        assert [corpus.training_view(i).pool for i in range(3)] == [0, 1, 2]
 
     def test_out_of_range(self, tmp_path):
         corpus = _load(tmp_path)
@@ -184,7 +185,8 @@ class TestTrainingView:
                                    if k in dictionary))
             features = vectorize(item.formula, dictionary).indices
             view = corpus.training_view(i)
-            assert view.premise_ids == tuple(it.name for it in items[:i])
+            assert view.pool == i
+            assert corpus.names[: view.pool] == tuple(it.name for it in items[:i])
             assert [(r.position, r.features.indices, set(r.used)) for r in view.rows] == rows
             assert view.conjecture_id == item.name
             assert view.conjecture_features.indices == visible

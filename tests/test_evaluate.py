@@ -48,19 +48,19 @@ fof(item3, theorem, p(a) & q(b)).
 
 class TestRecallAt:
     def test_half(self):
-        advice = RankedAdvice("c", ("a", "c", "b"), (3.0, 2.0, 1.0))
-        assert recall_at({"a", "b"}, advice, 2) == 0.5
+        advice = RankedAdvice((0, 2, 1), (3.0, 2.0, 1.0))
+        assert recall_at({0, 1}, advice, 2) == 0.5
 
     def test_full_pool_advised_means_one(self):
-        advice = RankedAdvice("c", ("a", "b", "x"), (3.0, 2.0, 1.0))
-        assert recall_at({"a", "b"}, advice, 50) == 1.0
+        advice = RankedAdvice((0, 1, 2), (3.0, 2.0, 1.0))
+        assert recall_at({0, 1}, advice, 50) == 1.0
 
     def test_top_hit(self):
-        advice = RankedAdvice("c", ("a", "b"), (1.0, 0.0))
-        assert recall_at({"a"}, advice, 1) == 1.0
+        advice = RankedAdvice((0, 1), (1.0, 0.0))
+        assert recall_at({0}, advice, 1) == 1.0
 
     def test_empty_used_is_a_skip_signal(self):
-        advice = RankedAdvice("c", ("a",), (0.0,))
+        advice = RankedAdvice((0,), (0.0,))
         with pytest.raises(ValueError):
             recall_at(set(), advice, 1)
 
@@ -69,9 +69,9 @@ class TestRecallAt:
 
         rng = random.Random(4)
         for _ in range(200):
-            pool = [f"p{i}" for i in range(rng.randint(1, 12))]
+            pool = list(range(rng.randint(1, 12)))
             rng.shuffle(pool)
-            advice = RankedAdvice("c", tuple(pool), tuple(float(-i) for i in range(len(pool))))
+            advice = RankedAdvice(tuple(pool), tuple(float(-i) for i in range(len(pool))))
             used = set(rng.sample(pool, rng.randint(1, len(pool))))
             values = [recall_at(used, advice, n) for n in range(1, len(pool) + 2)]
             assert all(a <= b for a, b in zip(values, values[1:]))
@@ -80,18 +80,18 @@ class TestRecallAt:
 
 class TestRankAdvice:
     def test_orders_by_score_then_position(self):
-        advice = rank_advice("c", ("a", "b", "d"), [1.0, 5.0, 5.0])
-        assert advice.premise_ids == ("b", "d", "a")  # tie: earlier premise first
+        advice = rank_advice("c", [1.0, 5.0, 5.0])
+        assert advice.premises == (1, 2, 0)  # tie: earlier premise first
         assert advice.scores == (5.0, 5.0, 1.0)
 
     def test_permutation_of_pool(self):
-        advice = rank_advice("c", ("a", "b", "d"), [0.0, 0.0, 0.0])
-        assert sorted(advice.premise_ids) == ["a", "b", "d"]
+        advice = rank_advice("c", [0.0, 0.0, 0.0])
+        assert sorted(advice.premises) == [0, 1, 2]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_score_is_a_training_error(self, bad):
         with pytest.raises(TrainingError, match="non-finite"):
-            rank_advice("c", ["a", "b", "c", "d"], [1, bad, 3, 2])
+            rank_advice("c", [1, bad, 3, 2])
 
     def test_order_and_scores_equal_a_python_sort(self):
         # signed zeros, subnormals and repeats are where an array sort
@@ -102,10 +102,9 @@ class TestRankAdvice:
             size = rng.randrange(40)
             scores = [rng.choice(palette) if rng.random() < 0.5 else rng.uniform(-3, 3)
                       for _ in range(size)]
-            ids = [f"p{j}" for j in range(size)]
             order = sorted(range(size), key=lambda j: (-scores[j], j))
-            advice = rank_advice("c", ids, np.array(scores) if trial % 2 else scores)
-            assert advice.premise_ids == tuple(ids[j] for j in order)
+            advice = rank_advice("c", np.array(scores) if trial % 2 else scores)
+            assert advice.premises == tuple(order)
             assert [s.hex() for s in advice.scores] == [scores[j].hex() for j in order]
 
 
@@ -116,15 +115,14 @@ class TestAdviseFallback:
         corpus = load_corpus([f], d)
         empty_pool = corpus.training_view(0)
         one_row = corpus.training_view(3)
-        assert empty_pool.premise_ids == () and len(one_row.rows) == 1
+        assert empty_pool.pool == 0 and len(one_row.rows) == 1
         mor = KernelRidgeRanker(grid=GridSearchConfig(lambda_grid=(1.0,), sigma_grid=(1.0,)))
         for ranker in (NaiveBayesRanker(), mor):
             advice = ranker.advise(empty_pool)
-            assert advice == RankedAdvice("item1", (), (), fallback=True)
+            assert advice == RankedAdvice((), (), fallback=True)
         # naive Bayes trains on any non-empty pool; ridge needs two rows
         assert not NaiveBayesRanker().advise(one_row).fallback
-        assert mor.advise(one_row) == RankedAdvice(
-            "item4", ("item1", "item2", "item3"), (0.0, 0.0, 0.0), fallback=True)
+        assert mor.advise(one_row) == RankedAdvice((0, 1, 2), (0.0, 0.0, 0.0), fallback=True)
 
 
 class _SecondReadFails:
@@ -170,9 +168,9 @@ class TestNaiveBayesRanker:
     @staticmethod
     def _check(ranker, view):
         advice = ranker.advise(view)
-        if view.premise_ids:
+        if view.pool:
             scores = nb_score(nb_train(view), view.conjecture_features)
-            expected = rank_advice(view.conjecture_id, view.premise_ids, scores)
+            expected = rank_advice(view.conjecture_id, scores)
         else:
             expected = chronological_fallback(view)
         assert advice == expected
@@ -208,8 +206,8 @@ class TestNaiveBayesRanker:
         corpus = self._planted(tmp_path, seed=1)
         empty_pool = corpus.training_view(0)
         rowless = corpus.training_view(1)
-        assert not empty_pool.premise_ids
-        assert rowless.premise_ids and not rowless.rows
+        assert not empty_pool.pool
+        assert rowless.pool and not rowless.rows
         ranker = NaiveBayesRanker()
         for view in (empty_pool, rowless):
             self._check(ranker, view)
@@ -222,7 +220,7 @@ class TestKernelRidgeRanker:
     def test_advice_trains_the_searched_point(self, regrid):
         view = view_from_indices(
             rows=[([0], {0}), ([1], set()), ([0, 1], {0}), ([2], set())],
-            premise_ids=("p0", "p1"),
+            pool=2,
             conjecture_indices=(0, 2),
         )
         config = GridSearchConfig()
@@ -231,7 +229,7 @@ class TestKernelRidgeRanker:
 
         if regrid == "once":
             # the first two rows and the pool up to the second of them
-            first = dataclasses.replace(view, rows=view.rows[:2], premise_ids=("p0", "p1"))
+            first = dataclasses.replace(view, rows=view.rows[:2], pool=2)
             search = grid_search(first, "gaussian", config)
             assert ranker.search == search
         else:
@@ -244,8 +242,8 @@ class TestKernelRidgeRanker:
         np.testing.assert_array_equal(model.coef, again.coef)
         factor = RidgeFactor()
         factor.sync(view.rows, search.best_kernel, search.best_lambda)
-        scores = factor.score(len(view.premise_ids), view.conjecture_features)
-        assert advice == rank_advice(view.conjecture_id, view.premise_ids, scores)
+        scores = factor.score(view.pool, view.conjecture_features)
+        assert advice == rank_advice(view.conjecture_id, scores)
         # the dual scores are the model's, up to rounding
         np.testing.assert_allclose(scores, ridge_score(model, view.conjecture_features),
                                    rtol=0, atol=1e-12)
@@ -349,7 +347,7 @@ class TestKernelRidgeFactorPath:
 
     @staticmethod
     def _bits(advice):
-        return advice.premise_ids, [s.hex() for s in advice.scores], advice.fallback
+        return advice.premises, [s.hex() for s in advice.scores], advice.fallback
 
     @pytest.mark.parametrize("row_roles", [("theorem",), ROLES], ids=["theorems", "all"])
     def test_every_step_agrees_with_the_reference(self, tmp_path, row_roles):
@@ -360,14 +358,13 @@ class TestKernelRidgeFactorPath:
             view = corpus.training_view(position)
             advice = ranker.advise(view)
             if advice.fallback:
-                assert len(view.rows) < 2 or not view.premise_ids
+                assert len(view.rows) < 2 or not view.pool
                 continue
             point = ranker.search
             model = ridge_train(view, point.best_kernel, point.best_lambda)
             reference = ridge_score(model, view.conjecture_features)
             tolerance = 1e-9 * np.abs(reference).max()
-            at = {pid: p for p, pid in enumerate(view.premise_ids)}
-            expected = reference[[at[pid] for pid in advice.premise_ids]]
+            expected = reference[list(advice.premises)]
             assert np.abs(np.array(advice.scores) - expected).max() <= tolerance
             # a descending order of the reference scores, up to the tolerance
             assert (np.diff(expected) <= tolerance).all()
@@ -568,7 +565,7 @@ class TestRunIncremental:
             n = len(view.rows)
             K = np.array([[gauss(r.features, s.features) for s in view.rows]
                           for r in view.rows])
-            Y = np.zeros((n, len(view.premise_ids)))
+            Y = np.zeros((n, view.pool))
             for r, row in enumerate(view.rows):
                 for p in row.used:
                     Y[r, p] = 1.0
@@ -577,7 +574,7 @@ class TestRunIncremental:
                              for r in view.rows])
             scores = A.T @ kvec
             order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-            ranked = [view.premise_ids[j] for j in order]
+            ranked = [corpus.names[j] for j in order]
             used = deps_by_name[outcome.conjecture_id]
             hits = sum(1 for name in ranked[:5] if name in used)
             assert outcome.recalls[5] == pytest.approx(hits / len(used), abs=1e-12)
@@ -606,7 +603,7 @@ class TestRunIncremental:
         # item3 has no earlier theorem rows: chronological fallback.
         outcome, advice = by_id["item3"]
         assert outcome.fallback and advice.fallback
-        assert advice.premise_ids == ("item1", "item2")
+        assert advice.premises == (0, 1)  # item1, item2
         assert outcome.recalls[1] == 1.0
 
     def test_training_errors_are_recorded_and_skipped(self, tmp_path):
@@ -652,8 +649,7 @@ class TestRunIncremental:
 
         class NanRanker(NaiveBayesRanker):
             def advise(self, view):
-                return rank_advice(view.conjecture_id, view.premise_ids,
-                                   [math.nan] * len(view.premise_ids))
+                return rank_advice(view.conjecture_id, [math.nan] * view.pool)
 
         report = run_incremental(load_corpus([f], d), NanRanker(), n_values=[1])
         assert report.error_count == 2
@@ -671,8 +667,8 @@ class TestRunIncremental:
         assert report.error_count == 0
         positions = [o.position for o in report.outcomes]
         for position, advice in zip(positions, walk_advice(corpus, NaiveBayesRanker(), positions)):
-            for pid in advice.premise_ids:
-                assert corpus.position_of(pid) < position
+            for premise in advice.premises:
+                assert premise < position
 
     def test_conjecture_filters(self, tmp_path):
         f, d = write_corpus(tmp_path, THREE, "item3: item1\n")
@@ -819,7 +815,7 @@ class TestEmit:
         axioms = {
             "bushy": lambda p: sorted(deps_by_name[names[p]], key=names.index),
             "chainy": lambda p: names[:p],
-            "advised": lambda p: advice[p].premise_ids[:3],
+            "advised": lambda p: [names[q] for q in advice[p].premises[:3]],
         }
         for mode, axiom_ids in axioms.items():
             options = {"n": 3, "ranker": NaiveBayesRanker()} if mode == "advised" else {}

@@ -227,7 +227,7 @@ class TestRidgeModel:
         # identity, so the kernel row of a training row is a unit vector.
         view = view_from_indices(
             rows=[([0], {0}), ([1], {1})],
-            premise_ids=("p0", "p1"),
+            pool=2,
         )
         model = ridge_train(view, LINEAR, 1.0)
         np.testing.assert_allclose(model.coef, np.eye(2) / 2.0, atol=1e-12)
@@ -237,7 +237,7 @@ class TestRidgeModel:
     def test_never_used_premise_scores_zero(self):
         view = view_from_indices(
             rows=[([0], {0}), ([1], {0})],
-            premise_ids=("used", "never"),
+            pool=2,  # premise 1 is never used
         )
         model = ridge_train(view, GAUSS, 0.5)
         for conj in ([0], [1], [0, 1], []):
@@ -256,7 +256,7 @@ class TestRidgeModel:
                 ([1, 2], {1, 2}),
                 ([0, 2], {0, 2}),
             ],
-            premise_ids=("p0", "p1", "p2", "p3"),
+            pool=4,
         )
         model = ridge_train(view, GAUSS, 0.1)
         scores = ridge_score(model, FeatureVector([0]))
@@ -269,7 +269,7 @@ class TestGridSearch:
     def _simple_view(self):
         return view_from_indices(
             rows=[([0], {0}), ([1], set()), ([0, 1], {0}), ([2], set())],
-            premise_ids=("p0", "p1"),
+            pool=2,
         )
 
     def test_single_point_grid_returns_that_point(self):
@@ -286,7 +286,7 @@ class TestGridSearch:
         # leaks mass and pays a positive loss.
         view = view_from_indices(
             rows=[([0], {0}), ([1], set()), ([5], set())],
-            premise_ids=("p0",),
+            pool=1,
         )
         config = GridSearchConfig(lambda_grid=(0.01,), sigma_grid=(0.01, 10.0))
         result = grid_search(view, "gaussian", config)
@@ -300,7 +300,7 @@ class TestGridSearch:
         # All labels are zero, so every grid point has exactly zero loss.
         view = view_from_indices(
             rows=[([0], set()), ([1], set()), ([2], set())],
-            premise_ids=("p0",),
+            pool=1,
         )
         config = GridSearchConfig(lambda_grid=(4.0, 0.25, 1.0), sigma_grid=(3.0, 0.5))
         result = grid_search(view, "gaussian", config)
@@ -321,7 +321,7 @@ class TestGridSearch:
         assert [sigma for _, sigma, _ in result.table] == [None, None]
 
     def test_needs_two_rows(self):
-        view = view_from_indices([([0], set())], ("p0",))
+        view = view_from_indices([([0], set())], 1)
         with pytest.raises(TrainingError):
             grid_search(view, "gaussian", GridSearchConfig())
 
@@ -350,7 +350,7 @@ def _reference_grid_search(view, kernel_kind, config):
     n = len(view.rows)
     n_train = round(0.7 * n)
     train_idx, val_idx = np.arange(n_train), np.arange(n_train, n)
-    Y = np.zeros((n, len(view.premise_ids)))
+    Y = np.zeros((n, view.pool))
     for r, row in enumerate(view.rows):
         Y[r, list(row.used)] = 1.0
     train = [view.rows[i].features for i in train_idx]
@@ -425,9 +425,8 @@ class TestGridSearchPoolCut:
                 # a prefix of the rows, as a search of fewer rows than the view's
                 rows = view.rows[: 2 + position % (len(view.rows) - 1)]
                 full = dataclasses.replace(view, rows=rows)
-                cut = dataclasses.replace(view, rows=rows,
-                                          premise_ids=view.premise_ids[: rows[-1].position + 1])
-                cut_premises += len(full.premise_ids) - len(cut.premise_ids)
+                cut = dataclasses.replace(view, rows=rows, pool=rows[-1].position + 1)
+                cut_premises += full.pool - cut.pool
                 for kind in ("gaussian", "linear"):
                     config = GridSearchConfig()
                     got, want = grid_search(cut, kind, config), grid_search(full, kind, config)
@@ -520,14 +519,14 @@ class TestCrossKernel:
 def _random_view(rng, n_rows, pool=6):
     rows = [(list(v.indices), {p for p in range(pool) if rng.uniform() < 0.3})
             for v in random_vectors(rng, n_rows, width=15, max_size=6)]
-    return view_from_indices(rows, tuple(f"p{i}" for i in range(pool)),
+    return view_from_indices(rows, pool,
                              conjecture_indices=list(random_vectors(rng, 1, width=15)[0]))
 
 
 def _dual_scores(view, spec, lam, factor=None):
     factor = factor if factor is not None else RidgeFactor()
     factor.sync(view.rows, spec, lam)
-    return factor.score(len(view.premise_ids), view.conjecture_features)
+    return factor.score(view.pool, view.conjecture_features)
 
 
 class TestRidgeFactor:
@@ -577,7 +576,7 @@ class TestRidgeFactor:
         rng = np.random.default_rng(14)
         rows = [(list(v.indices), {0, 2} if rng.uniform() < 0.5 else {1})
                 for v in random_vectors(rng, 25, width=15, max_size=6)]
-        view = view_from_indices(rows, ("p0", "p1", "p2", "p3"), conjecture_indices=[1, 4])
+        view = view_from_indices(rows, 4, conjecture_indices=[1, 4])
         scores = _dual_scores(view, GAUSS, 2.0**-7)
         assert scores[0] == scores[2] != scores[1]
         assert scores[3] == 0.0

@@ -21,14 +21,14 @@ def _two_row_view():
     # c1 uses the premise and has feature 0; c2 does not and has feature 1.
     return view_from_indices(
         rows=[([0], {0}), ([1], set())],
-        premise_ids=("prem",),
+        pool=1,
         conjecture_indices=[0],
     )
 
 
 class TestTraining:
     def test_prior_with_single_using_row(self):
-        view = view_from_indices([([0], {0})], ("prem",))
+        view = view_from_indices([([0], {0})], 1)
         model = nb_train(view)
         # smoothed prior is 2/3, so the log odds are ln 2
         assert model.priors[0] == pytest.approx(math.log(2), abs=1e-12)
@@ -47,7 +47,7 @@ class TestTraining:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(TrainingError):
-            nb_train(view_from_indices([([0], set())], ()))
+            nb_train(view_from_indices([([0], set())], 0))
 
     def test_smoothing_must_be_finite_and_positive(self):
         for smoothing in (0.0, -1.0, math.inf, math.nan):
@@ -57,14 +57,14 @@ class TestTraining:
                 NbCounts(smoothing)
 
     def test_zero_rows_is_uniform(self):
-        model = nb_train(view_from_indices([], ("a", "b")))
+        model = nb_train(view_from_indices([], 2))
         assert model.priors == (0.0, 0.0)
         scores = nb_score(model, FeatureVector([]))
         assert scores[0] == scores[1] == 0.0
 
     def test_premise_set_equals_pool(self):
-        view = view_from_indices([([0], {1})], ("a", "b", "c"))
-        assert nb_train(view).premise_ids == ("a", "b", "c")
+        model = nb_train(view_from_indices([([0], {1})], 3))
+        assert model.pool == 3 and len(model.priors) == len(model.bases) == 3
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = random.Random(3)
@@ -76,7 +76,7 @@ class TestTraining:
                  {p for p in range(pool) if rng.random() < 0.4})
                 for _ in range(n_rows)
             ]
-            model = nb_train(view_from_indices(rows, tuple(map(str, range(pool)))))
+            model = nb_train(view_from_indices(rows, pool))
             for p in range(pool):
                 assert math.isfinite(model.priors[p])
                 assert math.isfinite(model.bases[p])
@@ -99,7 +99,7 @@ class TestScoring:
         # used.  A conjecture with feature 0 must prefer premise 0.
         view = view_from_indices(
             rows=[([0], {0}), ([1], set())],
-            premise_ids=("used_prem", "unused_prem"),
+            pool=2,
             conjecture_indices=[0],
         )
         model = nb_train(view)
@@ -119,7 +119,7 @@ class TestScoring:
             (rng.sample(range(8), rng.randint(1, 5)), {0} if rng.random() < 0.5 else set())
             for _ in range(6)
         ]
-        model = nb_train(view_from_indices(rows, ("prem",)))
+        model = nb_train(view_from_indices(rows, 1))
         base_set = [0, 3]
         base = nb_score(model, FeatureVector(base_set))[0]
         for i in (1, 2, 4, 7):
@@ -132,7 +132,7 @@ class TestScoring:
             (rng.sample(range(6), 3), {p for p in range(4) if rng.random() < 0.5})
             for _ in range(5)
         ]
-        model = nb_train(view_from_indices(rows, ("a", "b", "c", "d")))
+        model = nb_train(view_from_indices(rows, 4))
         scores = nb_score(model, FeatureVector([0, 2]))
         transformed = 3.0 * scores + 7.0
         assert list(np.argsort(-scores, kind="stable")) == list(
@@ -152,7 +152,7 @@ class TestOracleAgreement:
                 for _ in range(n_rows)
             ]
             conj = set(rng.sample(range(4), rng.randint(0, 4)))
-            view = view_from_indices(rows, tuple(map(str, range(pool))), sorted(conj))
+            view = view_from_indices(rows, pool, sorted(conj))
             scores = nb_score(nb_train(view), view.conjecture_features)
             for p in range(pool):
                 expected = nb_oracle_score(
@@ -167,10 +167,10 @@ class TestOracleAgreement:
             for _ in range(5)
         ]
         conj = FeatureVector([0, 1, 2])
-        base = nb_score(nb_train(view_from_indices(rows, ("p",))), conj)
+        base = nb_score(nb_train(view_from_indices(rows, 1)), conj)
         for _ in range(5):
             rng.shuffle(rows)
-            shuffled = nb_score(nb_train(view_from_indices(rows, ("p",))), conj)
+            shuffled = nb_score(nb_train(view_from_indices(rows, 1)), conj)
             np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ class TestRunningCounts:
             pool = step + 1
             conj = rng.sample(range(12), rng.randint(0, 6))
             # value-equal rows, not the same objects: still an extension
-            view = view_from_indices(rows, tuple(map(str, range(pool))), conj)
+            view = view_from_indices(rows, pool, conj)
             counts.sync(view.rows)
             reference = nb_score(nb_train(view, smoothing), view.conjecture_features)
             assert _bits(counts.score(pool, view.conjecture_features)) == _bits(reference)
