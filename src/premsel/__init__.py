@@ -24,25 +24,13 @@ from .evaluate import (
 )
 from .features import FeatureVector, extract_features, vectorize
 from .fol import NamedItem, parse_file, parse_item, parse_items, print_item
-from .kernel import (
-    GridSearchConfig,
-    GridSearchResult,
-    KernelSpec,
-    RidgeModel,
-    build_kernel_matrix,
-    grid_search,
-    kernel_eval,
-    ridge_score,
-    ridge_solve,
-    ridge_train,
-)
+from .kernel import GridSearchConfig, GridSearchResult, KernelSpec, grid_search
 from .minimize import (
     MinimizationResult,
     SubprocessOracle,
     batch_minimize,
     greedy_minimize,
 )
-from .naive_bayes import NbModel, nb_score, nb_train
 
 __all__ = [
     "__version__",
@@ -52,10 +40,7 @@ __all__ = [
     "emit_problems", "rank_advice", "recall_at", "report_csv", "run_incremental",
     "FeatureVector", "extract_features", "vectorize",
     "NamedItem", "parse_file", "parse_item", "parse_items", "print_item",
-    "GridSearchConfig", "GridSearchResult", "KernelSpec", "RidgeModel",
-    "build_kernel_matrix", "grid_search", "kernel_eval", "ridge_score", "ridge_solve",
-    "ridge_train",
+    "GridSearchConfig", "GridSearchResult", "KernelSpec", "grid_search",
     "MinimizationResult", "SubprocessOracle", "batch_minimize",
     "greedy_minimize",
-    "NbModel", "nb_score", "nb_train",
 ]

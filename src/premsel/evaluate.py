@@ -90,7 +90,6 @@ class NaiveBayesRanker:
     """
 
     def __init__(self, smoothing: float = 1.0):
-        self.smoothing = smoothing
         self.counts = NbCounts(smoothing)
 
     def advise(self, view: TrainingView) -> RankedAdvice:
@@ -142,7 +141,9 @@ class KernelRidgeRanker:
         """The walk's one search under ``regrid="once"``, else ``None``."""
         return self._searched if self.regrid == "once" else None
 
-    def _search(self, view: TrainingView) -> GridSearchResult:
+    def advise(self, view: TrainingView) -> RankedAdvice:
+        if len(view.rows) < 2 or not view.pool:
+            return chronological_fallback(view)
         rows = view.rows[:2] if self.regrid == "once" else view.rows
         # A tuple compare of the corpus's shared rows: mostly identity checks.
         if rows != self._searched_rows:
@@ -150,13 +151,7 @@ class KernelRidgeRanker:
             self._searched = grid_search(dataclasses.replace(view, rows=rows, pool=pool),
                                          self.kernel_kind, self.grid)
             self._searched_rows = rows
-        return self._searched
-
-    def advise(self, view: TrainingView) -> RankedAdvice:
-        if len(view.rows) < 2 or not view.pool:
-            return chronological_fallback(view)
-        search = self._search(view)
-        self.factor.sync(view.rows, search.best_kernel, search.best_lambda)
+        self.factor.sync(view.rows, self._searched.best_kernel, self._searched.best_lambda)
         scores = self.factor.score(view.pool, view.conjecture_features)
         return rank_advice(view.conjecture_id, scores)
 
