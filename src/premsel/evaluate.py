@@ -117,8 +117,9 @@ class KernelRidgeRanker:
     same, and restarts the factor when it changes.  The factor appends
     rows one at a time either way, so advice is a function of the view
     alone.  In a walk a theorem is scored as a conjecture one step
-    before its row is appended, so the append reuses the score's forward
-    solve when the two kernel rows are equal bit for bit, as when the
+    before its row is appended, so the append gets the score's forward
+    solve back from the factor's ``_forward``, which keeps its last one,
+    when the two kernel rows are equal bit for bit, as when the
     conjecture's features, cut to those seen before it, are the row's.
     Search and factor run on numpy alone.
     """

@@ -27,7 +27,7 @@ O(n^2) instead of a fresh O(n^3) factorization.
 :func:`ridge_train` and :func:`ridge_score` stay the primal reference.
 All three solvers, :func:`ridge_solve`, :meth:`RidgeFactor.score` and
 the grid search's batched solve, share one residual check,
-:func:`_checked_solve`.
+:func:`_checked_solve`, relative to the right-hand side's largest entry.
 
 Everything here is numpy alone: Gram matrices are exact counts from
 feature posting lists, :class:`RidgeFactor` solves with matrix-vector
@@ -48,7 +48,8 @@ from .features import FeatureVector
 
 np = lazy_module("numpy")
 
-# Residual bound checked after every solve, per entry of (K+lam*I)A - Y.
+# Residual bound checked after every solve, per entry of (K+lam*I)A - Y,
+# relative to max|Y|.
 RESIDUAL_BOUND = 1e-8
 
 # Logarithmic default grids; the sigma defaults square to 2^-3 .. 2^9.
@@ -77,14 +78,6 @@ class KernelSpec:
                                             0 < self.sigma * self.sigma < math.inf):
             raise ConfigError(f"gaussian kernel needs a sigma > 0 whose square is finite and "
                               f"nonzero, got {self.sigma!r}")
-
-
-def kernel_eval(spec: KernelSpec, a: FeatureVector, b: FeatureVector) -> float:
-    """k(a, b); for the gaussian kernel, exp(-(|a| - 2<a,b> + |b|)/sigma^2)."""
-    ab = a.dot(b)
-    if spec.kind == "linear":
-        return float(ab)
-    return math.exp(-(len(a) - 2 * ab + len(b)) / (spec.sigma**2))
 
 
 def _counts(postings: dict[int, array], features: FeatureVector, n: int) -> np.ndarray:
@@ -136,8 +129,8 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (K + lam*I) A = Y by Cholesky factorization.
 
     One factorization serves all label columns.  The result is checked
-    against the normal equations; a residual above ``RESIDUAL_BOUND``
-    after one refinement step is reported as a failure, which for
+    against the normal equations; a residual above ``RESIDUAL_BOUND *
+    max|Y|`` after one refinement step is reported as a failure, which for
     ``lam > 0`` can only happen when K is far from positive
     semidefinite.
     """
@@ -156,27 +149,36 @@ def ridge_solve(K: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
                           lambda A: M @ A, Y)
 
 
+def _max_abs(a: np.ndarray):
+    """``max|a|``: 0 for an empty ``a``, NaN for one that holds a NaN."""
+    return np.maximum(a.max(initial=0.0), -a.min(initial=0.0))
+
+
 def _checked_solve(solve, apply, rhs: np.ndarray) -> np.ndarray:
-    """``solve(rhs)``, checked against ``RESIDUAL_BOUND``: ``apply``
-    multiplies by the matrix that ``solve`` inverts, and a solution whose
-    residual ``apply(x) - rhs`` exceeds the bound in any entry gets one
-    refinement step ``x - solve(residual)``, after which a residual still
-    above the bound is a :class:`TrainingError`.
+    """``solve(rhs)``, checked against ``RESIDUAL_BOUND * max|rhs|``, a
+    bound that stops at the smallest normal float and that an all-zero
+    ``rhs`` meets exactly: ``apply`` multiplies by the matrix that
+    ``solve`` inverts, and a solution whose residual ``apply(x) - rhs``
+    exceeds the bound in any entry gets one refinement step
+    ``x - solve(residual)``, after which a residual still above it is a
+    :class:`TrainingError`.
 
     ``solve`` and ``apply`` return new arrays, which the check overwrites:
     it makes no temporary the size of ``x``."""
+    scale = _max_abs(rhs)
+    bound = np.maximum(RESIDUAL_BOUND * scale, np.finfo(float).tiny)
     x = solve(rhs)
     r = apply(x)
     r -= rhs
-    # max |r|, written so that a NaN residual fails
-    if not np.maximum(r.max(initial=0.0), -r.min(initial=0.0)) <= RESIDUAL_BOUND:
+    if not _max_abs(r) <= bound:  # a NaN residual or rhs fails
         x -= solve(r)
         del r  # freed before the next residual is built
         r = apply(x)
         r -= rhs
-        worst = np.maximum(r.max(initial=0.0), -r.min(initial=0.0))
-        if not worst <= RESIDUAL_BOUND:
-            raise TrainingError(f"solve residual {worst:.3e} exceeds {RESIDUAL_BOUND:.0e}")
+        worst = _max_abs(r)
+        if not worst <= bound:
+            raise TrainingError(f"solve residual {worst:.3e} exceeds {RESIDUAL_BOUND:.0e} "
+                                f"times max|rhs| {scale:.3e}")
     return x
 
 
@@ -210,11 +212,12 @@ class RidgeFactor(RowState):
     time, in row order, also after a restart, so the factor of a row
     sequence is the same bits however it was reached.  :meth:`score`
     then equals ``ridge_score(ridge_train(view, spec, lam), features)``
-    up to rounding, with one solve per call.  The next row appended
-    reuses the score's forward solve ``L^-1 k`` when its kernel row equals
-    the score's ``k`` bit for bit, as when a walk appends the conjecture
-    just scored and its features, cut to those seen before it, are the
-    row's.
+    up to rounding, with one solve per call.  :meth:`_forward` keeps its
+    last solve ``L^-1 rhs`` and returns it for a ``rhs`` equal to that one
+    bit for bit.  So the next row appended reuses the score's forward
+    solve when its kernel row equals the score's ``k``, as when a walk
+    appends the conjecture just scored and its features, cut to those
+    seen before it, are the row's.
 
     Rows are kept in blocks of :data:`BLOCK_ROWS`.  A block's panels are
     allocated once, when its first row arrives, and filled row by row,
@@ -235,7 +238,7 @@ class RidgeFactor(RowState):
         super()._reset(key)
         self.spec, self.lam = key or (None, None)
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (K, L, inv)
-        self._scored: tuple | None = None   # (k, L^-1 k) of the last score
+        self._forwarded: tuple = (None, None)  # (bytes of rhs, L^-1 rhs) of the last forward solve
         self._sizes = array("d")            # feature count of each row
         self._rows_by_feature: dict[int, array] = {}
         self._use_rows = array("i")         # row of each (row, used premise) pair
@@ -248,15 +251,11 @@ class RidgeFactor(RowState):
 
     def _append(self, i: int, row) -> None:
         features = row.features
-        scored, self._scored = self._scored, None
         for f in features.indices:
             self._rows_by_feature.setdefault(f, array("i")).append(i)
         self._sizes.append(len(features))
         k = self._kernel_row(features, i + 1)
-        if scored is None or scored[0].tobytes() != k[:i].tobytes():
-            l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
-        else:
-            l = scored[1]
+        l = self._forward(k[:i])  # L[:i, :i] l = k[:i]
         pivot = k[i] + self.lam - l @ l
         if not pivot > 0:
             raise TrainingError(f"kernel matrix factorization failed: pivot {pivot:.3e} "
@@ -290,21 +289,23 @@ class RidgeFactor(RowState):
             yield panels, lo, min(lo + BLOCK_ROWS, n)
 
     def _forward(self, rhs: np.ndarray) -> np.ndarray:
-        """``y`` with ``L y = rhs``, for the first ``len(rhs)`` rows."""
-        def solve(v):
-            y = np.empty(len(v))
-            for (_, L, inv), lo, hi in self._spans(len(v)):
-                r = hi - lo
-                y[lo:hi] = inv[:r, :r] @ (v[lo:hi] - L[:r] @ y[:lo])
-            return y
+        """``y`` with ``L y = rhs``, for the first ``len(rhs)`` rows.  A
+        ``rhs`` bit-equal to the last one gets the last ``y`` back, not to
+        be written to: until a reset, ``L`` of those rows stays the same."""
+        key = rhs.tobytes()
+        if key != self._forwarded[0]:
+            def solve(v):
+                y = np.empty(len(v))
+                for (_, L, inv), lo, hi in self._spans(len(v)):
+                    r = hi - lo
+                    y[lo:hi] = inv[:r, :r] @ (v[lo:hi] - L[:r] @ y[:lo])
+                return y
 
-        return _scaled(solve, rhs)
+            self._forwarded = (key, _scaled(solve, rhs))
+        return self._forwarded[1]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        k, y = self._scored
-        if rhs is not k:  # a refinement step's residual
-            y = self._forward(rhs)
-
+        """``(K + lam*I)^-1 rhs``, as ``L^-T (L^-1 rhs)``."""
         def solve(v):  # L^T x = v
             x = v.copy()
             for (_, L, inv), lo, hi in reversed(list(self._spans(len(x)))):
@@ -313,7 +314,7 @@ class RidgeFactor(RowState):
                 x[:lo] -= L[:r].T @ x[lo:hi]
             return x
 
-        return _scaled(solve, y)
+        return _scaled(solve, self._forward(rhs))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``(K + lam*I) x``, each panel of ``K`` read for both of its halves."""
@@ -337,7 +338,6 @@ class RidgeFactor(RowState):
         k = self._kernel_row(features, n)
         # a non-finite solve is the residual check's to report, not numpy's
         with np.errstate(invalid="ignore", over="ignore"):
-            self._scored = (k, self._forward(k))
             alpha = _checked_solve(self._solve, self._apply, k)
         uses = np.frombuffer(self._use_rows, dtype=np.intc)
         premises = np.frombuffer(self._use_premises, dtype=np.intc)

@@ -36,7 +36,7 @@ class NbModel:
     ``priors[p]`` is the smoothed prior log-odds of premise p being
     used.  ``bases[p]`` is the log-odds weight shared by every feature
     that occurred in no training row.  Weights of other features derive
-    from the stored counts; see :meth:`weight`.
+    from the stored counts.
     """
 
     pool: int
@@ -47,15 +47,6 @@ class NbModel:
     bases: tuple[float, ...]
     feature_row_counts: dict[int, int]
     positive_counts: tuple[dict[int, int], ...]
-
-    def weight(self, premise: int, feature: int) -> float:
-        """Log-odds weight of one feature index for one premise."""
-        a = self.smoothing
-        used = self.uses[premise]
-        unused = self.row_count - used
-        cp = self.positive_counts[premise].get(feature, 0)
-        cn = self.feature_row_counts.get(feature, 0) - cp
-        return math.log((cp + a) / (used + 2 * a)) - math.log((cn + a) / (unused + 2 * a))
 
 
 def _prior(row_count: int, u: int, smoothing: float) -> float:

@@ -133,9 +133,30 @@ def nb_oracle_score(rows, conjecture_features, smoothing: float = 1.0) -> float:
     return math.log(num / den)
 
 
+def nb_weight(model, premise: int, feature: int) -> float:
+    """Log-odds weight of one feature index for one premise of a
+    ``naive_bayes.NbModel``, from its stored counts."""
+    a = model.smoothing
+    used = model.uses[premise]
+    unused = model.row_count - used
+    cp = model.positive_counts[premise].get(feature, 0)
+    cn = model.feature_row_counts.get(feature, 0) - cp
+    return math.log((cp + a) / (used + 2 * a)) - math.log((cn + a) / (unused + 2 * a))
+
+
 # ---------------------------------------------------------------------------
-# Independent ridge oracle: objective value and finite-difference gradient
+# Independent ridge oracle: the kernel of one pair, objective value and
+# finite-difference gradient
 # ---------------------------------------------------------------------------
+
+
+def kernel_eval(spec, a: FeatureVector, b: FeatureVector) -> float:
+    """k(a, b) under a ``kernel.KernelSpec``, one pair at a time; for the
+    gaussian kernel, exp(-(|a| - 2<a,b> + |b|)/sigma^2)."""
+    ab = a.dot(b)
+    if spec.kind == "linear":
+        return float(ab)
+    return math.exp(-(len(a) - 2 * ab + len(b)) / (spec.sigma**2))
 
 
 def ridge_objective(K, Y, lam, A) -> float:
@@ -153,6 +174,24 @@ def ridge_fd_gradient(K, Y, lam, A, h: float = 1e-6) -> np.ndarray:
                 ridge_objective(K, Y, lam, A + step) - ridge_objective(K, Y, lam, A - step)
             ) / (2 * h)
     return grad
+
+
+def spy_forward_solves(monkeypatch, record) -> None:
+    """Patch ``kernel.RidgeFactor._forward`` to call ``record(rhs)`` for
+    each call that solves: one that returns a new array, not the last
+    solve again."""
+    from premsel.kernel import RidgeFactor
+
+    forward, last = RidgeFactor._forward, [None]
+
+    def spied(self, rhs):
+        y = forward(self, rhs)
+        if y is not last[0]:
+            record(rhs)
+        last[0] = y
+        return y
+
+    monkeypatch.setattr(RidgeFactor, "_forward", spied)
 
 
 def reference_gram(rows, cols) -> np.ndarray:

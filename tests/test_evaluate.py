@@ -34,6 +34,7 @@ from helpers import (
     planted_corpus_text,
     reference_problem_text,
     rich_corpus_text,
+    spy_forward_solves,
     view_from_indices,
     walk_advice,
     write_corpus,
@@ -447,11 +448,11 @@ class TestKernelRidgeFactorPath:
             return call
 
         monkeypatch.setattr(kernel, "_counts", spy("counts", kernel._counts))
-        monkeypatch.setattr(RidgeFactor, "_forward", spy("forward", RidgeFactor._forward))
+        spy_forward_solves(monkeypatch, lambda rhs: log.append(("forward", rhs)))
         monkeypatch.setattr(RidgeFactor, "_append", spy("append", RidgeFactor._append))
         monkeypatch.setattr(RidgeFactor, "score", spy("score", RidgeFactor.score))
         assert run_incremental(corpus, KernelRidgeRanker(), n_values=[5]).error_count == 0
-        # [name, row or features, _counts calls, _forward calls] per append
+        # [name, row or features, _counts calls, forward solves] per append
         # or score; the grid search's counts come before the first of them
         calls = []
         for name, arg in log:

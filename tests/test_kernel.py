@@ -22,7 +22,6 @@ from premsel.kernel import (
     build_kernel_matrix,
     cross_kernel,
     grid_search,
-    kernel_eval,
     ridge_score,
     ridge_solve,
     ridge_train,
@@ -30,12 +29,14 @@ from premsel.kernel import (
 )
 
 from helpers import (
+    kernel_eval,
     planted_corpus_text,
     random_vectors,
     reference_gram,
     rich_corpus_text,
     ridge_fd_gradient,
     ridge_objective,
+    spy_forward_solves,
     view_from_indices,
     write_corpus,
 )
@@ -622,6 +623,53 @@ class TestRidgeFactor:
         with pytest.raises(TrainingError, match=f"exceeds {RESIDUAL_BOUND:.0e}"):
             _dual_scores(view, GAUSS, 0.5)
 
+    def test_a_wrong_product_is_caught_however_small_the_kernel_values(self, monkeypatch):
+        view = _random_view(np.random.default_rng(27), BLOCK_ROWS + 20)
+        # three features from row 0 and further from every other row:
+        # every kernel value is at most exp(-3 / sigma^2) = exp(-24)
+        features = FeatureVector([*view.rows[0].features, 99, 100, 101])
+        factor = RidgeFactor()
+        # the point that the default search picks on the 2078-item benchmark corpora
+        factor.sync(view.rows, KernelSpec("gaussian", math.sqrt(2.0**-3)), 2.0**-7)
+        assert 0 < np.abs(factor._kernel_row(features, len(view.rows))).max() < 1e-8
+
+        def apply_without_first_block(self, x):
+            out = self.lam * x
+            for (K, _, _), lo, hi in list(self._spans(len(x)))[1:]:
+                panel = K[: hi - lo, :hi]
+                out[lo:hi] += panel @ x[:hi]
+                out[:lo] += panel[:, :lo].T @ x[lo:hi]
+            return out
+
+        monkeypatch.setattr(RidgeFactor, "_apply", apply_without_first_block)
+        with pytest.raises(TrainingError, match=f"exceeds {RESIDUAL_BOUND:.0e}"):
+            factor.score(view.pool, features)
+
+    def test_an_all_zero_right_hand_side_passes(self):
+        M = np.array([[2.0, 1.0], [1.0, 3.0]])
+        x = kernel._checked_solve(lambda rhs: np.linalg.solve(M, rhs), lambda x: M @ x,
+                                  np.zeros((2, 3)))
+        assert x.shape == (2, 3) and not x.any()
+        # every kernel value of a conjecture far from every row underflows to 0
+        view = _random_view(np.random.default_rng(28), 20)
+        factor = RidgeFactor()
+        factor.sync(view.rows, KernelSpec("gaussian", 0.01), 0.5)
+        assert not factor.score(view.pool, FeatureVector(range(100, 110))).any()
+
+    def test_kernel_values_below_the_normal_floats_get_no_refinement_step(self, monkeypatch):
+        # kernel values near 4e-322, whose rounding is absolute: a bound of
+        # RESIDUAL_BOUND times them would underflow to 0 and force a refinement
+        view = _random_view(np.random.default_rng(29), 20)
+        features = FeatureVector([*view.rows[0].features, *range(100, 107)])
+        factor = RidgeFactor()
+        factor.sync(view.rows, KernelSpec("gaussian", math.sqrt(7 / 740)), 2.0**-7)
+        assert 0 < np.abs(factor._kernel_row(features, len(view.rows))).max() < 1e-320
+        solve, calls = RidgeFactor._solve, []
+        monkeypatch.setattr(RidgeFactor, "_solve",
+                            lambda self, rhs: calls.append(rhs) or solve(self, rhs))
+        factor.score(view.pool, features)
+        assert len(calls) == 1
+
 
 class TestRidgeFactorBlocks:
     """Walks of a few hundred rows, past two boundaries of the factor's
@@ -671,13 +719,7 @@ class TestRidgeFactorBlocks:
         factor = RidgeFactor()
         factor.sync(view.rows[:n], GAUSS, 0.5)
         solved = []
-        forward = RidgeFactor._forward
-
-        def counted(self, rhs):
-            solved.append(len(rhs))
-            return forward(self, rhs)
-
-        monkeypatch.setattr(RidgeFactor, "_forward", counted)
+        spy_forward_solves(monkeypatch, lambda rhs: solved.append(len(rhs)))
         factor.score(6, view.rows[n].features)
         factor.sync(view.rows[: n + 1], GAUSS, 0.5)  # the scored kernel row: reused
         # feature 99 is in no row, but one more feature changes every
@@ -696,13 +738,7 @@ class TestRidgeFactorBlocks:
         factor = RidgeFactor()
         factor.sync(view.rows[:n], LINEAR, 0.5)
         solved = []
-        forward = RidgeFactor._forward
-
-        def counted(self, rhs):
-            solved.append(len(rhs))
-            return forward(self, rhs)
-
-        monkeypatch.setattr(RidgeFactor, "_forward", counted)
+        spy_forward_solves(monkeypatch, lambda rhs: solved.append(len(rhs)))
         # feature 99 is in no row, so the linear kernel row is the row's own
         factor.score(6, FeatureVector([*view.rows[n].features, 99]))
         factor.sync(view.rows[: n + 1], LINEAR, 0.5)

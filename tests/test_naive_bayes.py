@@ -14,7 +14,7 @@ from premsel.features import FeatureVector
 from premsel.kernel import KernelSpec, RidgeFactor
 from premsel.naive_bayes import NbCounts, nb_score, nb_train
 
-from helpers import nb_oracle_score, view_from_indices
+from helpers import nb_oracle_score, nb_weight, view_from_indices
 
 
 def _two_row_view():
@@ -36,14 +36,14 @@ class TestTraining:
     def test_hand_computed_weight(self):
         model = nb_train(_two_row_view())
         # P(f0 | used) = 2/3 and P(f0 | unused) = 1/3 after add-one smoothing
-        assert model.weight(0, 0) == pytest.approx(math.log(2), abs=1e-12)
-        assert model.weight(0, 1) == pytest.approx(-math.log(2), abs=1e-12)
+        assert nb_weight(model, 0, 0) == pytest.approx(math.log(2), abs=1e-12)
+        assert nb_weight(model, 0, 1) == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_feature_absent_from_all_rows_is_neutral(self):
         # One using and one non-using row: both classes get the same
         # smoothed mass for a never-seen feature, so the weight is ln 1.
         model = nb_train(_two_row_view())
-        assert model.weight(0, 77) == 0.0
+        assert nb_weight(model, 0, 77) == 0.0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(TrainingError):
@@ -86,7 +86,7 @@ class TestTraining:
                     cp = model.positive_counts[p].get(i, 0)
                     cond = (cp + a) / (used + 2 * a)
                     assert 0.0 < cond < 1.0
-                    assert math.isfinite(model.weight(p, i))
+                    assert math.isfinite(nb_weight(model, p, i))
 
 
 class TestScoring:
@@ -124,7 +124,7 @@ class TestScoring:
         base = nb_score(model, FeatureVector(base_set))[0]
         for i in (1, 2, 4, 7):
             extended = nb_score(model, FeatureVector(base_set + [i]))[0]
-            assert extended - base == pytest.approx(model.weight(0, i), abs=1e-12)
+            assert extended - base == pytest.approx(nb_weight(model, 0, i), abs=1e-12)
 
     def test_ranking_invariant_under_monotone_transforms(self):
         rng = random.Random(13)
